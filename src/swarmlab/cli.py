@@ -261,7 +261,8 @@ def _moments_csv(traj) -> str:
     for t, rep, energy in zip(traj.times, traj.moment_reports, traj.energies):
         row = [repr(float(t)), repr(rep.mass)]
         row += [repr(float(c)) for c in rep.momentum]
-        row += [repr(energy), repr(rep.speed_min), repr(rep.speed_max)]
+        row += [repr(rep.kinetic_energy), repr(energy), repr(rep.speed_min),
+                repr(rep.speed_max)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -4,10 +4,24 @@ The acceleration felt by particle i is the exact pairwise sum
 
     a_i = - sum_j w_j grad_U(x_i - x_j) + sum_j w_j h(x_i - x_j) (v_j - v_i)
 
-evaluated brute force in O(N^2): correctness over speed at desk scale. The
-j = i term is kept in the loop (grad_U(0) = 0 for the even built-in
-potentials, and the alignment difference vanishes), so the inner sum is
-branch-free.
+Every built-in kernel is radial, so a KernelSpec stores profiles of the
+squared distance s = rho^2 = |x|^2: U(s), U'(s) and h(s) (plus U''(s) and
+h'(s) for the Hessian and weight gradient). The vector evaluators are derived
+from them, e.g. grad_U(x) = 2 U'(|x|^2) x.
+
+A PairOperator evaluates the profiles once per position state, on the matrix
+s_ij = |x_i - x_j|^2 from scipy's cdist. It holds the potential force
+F_i = -2 (sum_j G_ij x_i - (G x)_i) with G_ij = w_j U'(s_ij), and the weighted
+alignment matrix H_ij = w_j h(s_ij) with its row sums, so every
+velocity-dependent field evaluation at those positions is one matvec,
+
+    a = F + H v - rowsum(H) v.
+
+The j = i term is kept (grad_U(0) = 0 and the alignment difference
+vanishes), so the sums are branch-free. The cost is O(N^2) time per build and
+O(N^2) memory: H is one N x N float64 matrix, 8 N^2 bytes (8 MB at N = 1024,
+128 MB at N = 4096), built in place in the distance buffer. A kernel with both
+a potential and a weight holds a second N x N buffer while the force is built.
 
 Every KernelSpec carries certified sup-norm bounds for its ingredients; the
 built-in families derive them in closed form.
@@ -16,42 +30,68 @@ built-in families derive them in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import velocities
 from .errors import BadKernelParams, ValidationError
 
-# Row-block size for the pairwise sweep; keeps the (block, N, d) temporaries
-# small enough to stay cache- and memory-friendly up to N = 4096.
-_CHUNK = 512
+
+def _profile_at(profile, x):
+    """A radial profile evaluated at |x|^2 over the last axis of x; an absent
+    (None) profile is identically zero."""
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(np.sum(x * x, axis=-1))
+    return np.zeros(s.shape) if profile is None else profile(s)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A potential/weight pair with evaluators and certified bounds.
+    """A radial potential/weight pair with certified bounds.
 
-    Evaluators are vectorized over leading axes: potential and align_weight
-    map (..., d) -> (...), the gradients map (..., d) -> (..., d), and
-    hess_potential maps (d,) -> (d, d).
+    The profiles map squared distances s >= 0 to values of the same shape and
+    may overwrite their argument (the pair build hands them a buffer it no
+    longer needs). None stands for an identically zero profile.
+
+    The vector evaluators are vectorized over leading axes: potential and
+    align_weight map (..., d) -> (...), the gradients map (..., d) -> (..., d),
+    and hess_potential maps (d,) -> (d, d).
     """
 
     name: str
     params: dict
-    potential: Callable
-    grad_potential: Callable
-    hess_potential: Callable
-    align_weight: Callable
-    grad_align_weight: Callable
     norm_U_hess: float
     norm_grad_U: float
     norm_h: float
     norm_grad_h: float
+    U: Callable | None = None       # U(s)
+    dU: Callable | None = None      # dU/ds
+    d2U: Callable | None = None     # d^2U/ds^2
+    h: Callable | None = None       # h(s)
+    dh: Callable | None = None      # dh/ds
 
-    def is_zero(self) -> bool:
-        return self.norm_grad_U == 0.0 and self.norm_h == 0.0
+    def potential(self, x):
+        return _profile_at(self.U, x)
+
+    def grad_potential(self, x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * _profile_at(self.dU, x)[..., None] * x
+
+    def hess_potential(self, x):
+        """2 U'(s) I + 4 U''(s) x x^T at a single point x."""
+        x = np.asarray(x, dtype=float)
+        return (2.0 * _profile_at(self.dU, x) * np.eye(x.shape[-1])
+                + 4.0 * _profile_at(self.d2U, x) * np.outer(x, x))
+
+    def align_weight(self, x):
+        return _profile_at(self.h, x)
+
+    def grad_align_weight(self, x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * _profile_at(self.dh, x)[..., None] * x
 
 
 @dataclass(frozen=True)
@@ -67,69 +107,67 @@ class FieldSample:
         object.__setattr__(self, "a", arr)
 
 
-def _zero_scalar(x):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape[:-1])
+def _gaussian_sum(terms):
+    """Profile s -> sum of amp * exp(-s / ell2) over the (amp, ell2) terms with
+    a nonzero amplitude; the last term is computed in the buffer of s."""
+    terms = [(amp, ell2) for amp, ell2 in terms if amp != 0.0]
 
+    def profile(s):
+        acc = np.zeros(s.shape) if not terms else None
+        for k, (amp, ell2) in enumerate(terms):
+            t = s if k == len(terms) - 1 else s.copy()
+            np.divide(t, -ell2, out=t)
+            np.exp(t, out=t)
+            t *= amp
+            if acc is not None:
+                t += acc
+            acc = t
+        return acc
 
-def _zero_vector(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
+    return profile
 
 
 def _gaussian_family(c_a, l_a, c_r, l_r):
     """U(x) = -c_a exp(-|x|^2/l_a^2) + c_r exp(-|x|^2/l_r^2), smooth and bounded
     with bounded derivatives of all orders (unlike the Morse potential, which
     is not twice differentiable at the origin)."""
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        rho2 = np.sum(x * x, axis=-1)
-        return -c_a * np.exp(-rho2 / l_a**2) + c_r * np.exp(-rho2 / l_r**2)
-
-    def grad_u(x):
-        x = np.asarray(x, dtype=float)
-        rho2 = np.sum(x * x, axis=-1)
-        g = (2 * c_a / l_a**2) * np.exp(-rho2 / l_a**2) \
-            - (2 * c_r / l_r**2) * np.exp(-rho2 / l_r**2)
-        return g[..., None] * x
-
-    def hess_u(x):
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1]
-        rho2 = float(np.sum(x * x))
-        out = np.zeros((d, d))
-        for c, ell, sign in ((c_a, l_a, -1.0), (c_r, l_r, 1.0)):
-            e = math.exp(-rho2 / ell**2)
-            out += sign * c * e * ((4.0 / ell**4) * np.outer(x, x)
-                                   - (2.0 / ell**2) * np.eye(d))
-        return out
-
+    a2, r2 = l_a**2, l_r**2
+    u = _gaussian_sum([(-c_a, a2), (c_r, r2)])
+    du = _gaussian_sum([(c_a / a2, a2), (-c_r / r2, r2)])
+    d2u = _gaussian_sum([(-c_a / a2**2, a2), (c_r / r2**2, r2)])
     # Single-Gaussian bounds attained at the origin (Hessian) and at
     # rho = ell/sqrt(2) (gradient); the sum is bounded by the triangle
     # inequality, exact whenever one amplitude is zero.
     hess_bound = 2 * c_a / l_a**2 + 2 * c_r / l_r**2
     grad_bound = math.sqrt(2.0) * math.exp(-0.5) * (c_a / l_a + c_r / l_r)
-    return u, grad_u, hess_u, hess_bound, grad_bound
+    return u, du, d2u, hess_bound, grad_bound
 
 
 def _cucker_smale_family(k, gamma):
     """h(x) = k / (1 + |x|^2)^gamma: the classical decreasing radial weight."""
 
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        rho2 = np.sum(x * x, axis=-1)
-        return k / (1.0 + rho2) ** gamma
+    def h(s):
+        np.add(s, 1.0, out=s)
+        s **= gamma
+        return np.divide(k, s, out=s)
 
-    def grad_h(x):
-        x = np.asarray(x, dtype=float)
-        rho2 = np.sum(x * x, axis=-1)
-        g = -2.0 * gamma * k * (1.0 + rho2) ** (-(gamma + 1.0))
-        return g[..., None] * x
+    def dh(s):
+        np.add(s, 1.0, out=s)
+        s **= -(gamma + 1.0)
+        s *= -gamma * k
+        return s
 
     # |grad h| = 2 gamma k rho (1+rho^2)^(-gamma-1) peaks at rho^2 = 1/(2 gamma + 1).
     rho_star = 1.0 / math.sqrt(2.0 * gamma + 1.0)
     grad_bound = 2.0 * gamma * k * rho_star * (1.0 + rho_star**2) ** (-(gamma + 1.0))
-    return h, grad_h, k, grad_bound
+    return h, dh, k, grad_bound
+
+
+def _constant_profile(k):
+    def h(s):
+        s[...] = k
+        return s
+    return h
 
 
 def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
@@ -142,38 +180,24 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
     """
     params = dict(params or {})
     if name == "zero_potential":
-        return KernelSpec(
-            name=name, params=params,
-            potential=_zero_scalar, grad_potential=_zero_vector,
-            hess_potential=lambda x: np.zeros((np.asarray(x).shape[-1],) * 2),
-            align_weight=_zero_scalar, grad_align_weight=_zero_vector,
-            norm_U_hess=0.0, norm_grad_U=0.0, norm_h=0.0, norm_grad_h=0.0,
-        )
+        return KernelSpec(name=name, params=params, norm_U_hess=0.0,
+                          norm_grad_U=0.0, norm_h=0.0, norm_grad_h=0.0)
     if name == "constant_weight":
         k = float(params.get("K", 1.0))
         if k <= 0:
             raise BadKernelParams(f"constant_weight needs K > 0, got {k}")
-        return KernelSpec(
-            name=name, params={"K": k},
-            potential=_zero_scalar, grad_potential=_zero_vector,
-            hess_potential=lambda x: np.zeros((np.asarray(x).shape[-1],) * 2),
-            align_weight=lambda x: np.full(np.asarray(x).shape[:-1], k),
-            grad_align_weight=_zero_vector,
-            norm_U_hess=0.0, norm_grad_U=0.0, norm_h=k, norm_grad_h=0.0,
-        )
+        return KernelSpec(name=name, params={"K": k}, norm_U_hess=0.0,
+                          norm_grad_U=0.0, norm_h=k, norm_grad_h=0.0,
+                          h=_constant_profile(k))
     if name == "cucker_smale_weight":
         k = float(params.get("K", 1.0))
         gamma = float(params.get("gamma", 1.0))
         if k <= 0 or gamma <= 0:
             raise BadKernelParams(f"cucker_smale_weight needs K, gamma > 0, got {k}, {gamma}")
-        h, grad_h, norm_h, norm_grad_h = _cucker_smale_family(k, gamma)
-        return KernelSpec(
-            name=name, params={"K": k, "gamma": gamma},
-            potential=_zero_scalar, grad_potential=_zero_vector,
-            hess_potential=lambda x: np.zeros((np.asarray(x).shape[-1],) * 2),
-            align_weight=h, grad_align_weight=grad_h,
-            norm_U_hess=0.0, norm_grad_U=0.0, norm_h=norm_h, norm_grad_h=norm_grad_h,
-        )
+        h, dh, norm_h, norm_grad_h = _cucker_smale_family(k, gamma)
+        return KernelSpec(name=name, params={"K": k, "gamma": gamma},
+                          norm_U_hess=0.0, norm_grad_U=0.0, norm_h=norm_h,
+                          norm_grad_h=norm_grad_h, h=h, dh=dh)
     if name == "gaussian_attraction_repulsion":
         c_a = float(params.get("C_A", 1.0))
         l_a = float(params.get("l_A", 1.0))
@@ -183,14 +207,10 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
             raise BadKernelParams(f"gaussian scales must be positive, got l_A={l_a}, l_R={l_r}")
         if c_a < 0 or c_r < 0:
             raise BadKernelParams("gaussian amplitudes C_A, C_R must be nonnegative")
-        u, grad_u, hess_u, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
-        return KernelSpec(
-            name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
-            potential=u, grad_potential=grad_u, hess_potential=hess_u,
-            align_weight=_zero_scalar, grad_align_weight=_zero_vector,
-            norm_U_hess=hess_bound, norm_grad_U=grad_bound,
-            norm_h=0.0, norm_grad_h=0.0,
-        )
+        u, du, d2u, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
+        return KernelSpec(name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
+                          norm_U_hess=hess_bound, norm_grad_U=grad_bound,
+                          norm_h=0.0, norm_grad_h=0.0, U=u, dU=du, d2U=d2u)
     raise BadKernelParams(f"unknown kernel family {name!r}")
 
 
@@ -198,44 +218,80 @@ def compose_kernels(potential_spec: KernelSpec, weight_spec: KernelSpec) -> Kern
     """Merge a potential-only spec with a weight-only spec into one interaction."""
     if potential_spec.norm_h != 0.0 or weight_spec.norm_grad_U != 0.0:
         raise BadKernelParams("compose expects (potential-only, weight-only)")
-    return KernelSpec(
+    return replace(
+        potential_spec,
         name=f"{potential_spec.name}+{weight_spec.name}",
         params={"potential": potential_spec.params, "weight": weight_spec.params},
-        potential=potential_spec.potential,
-        grad_potential=potential_spec.grad_potential,
-        hess_potential=potential_spec.hess_potential,
-        align_weight=weight_spec.align_weight,
-        grad_align_weight=weight_spec.grad_align_weight,
-        norm_U_hess=potential_spec.norm_U_hess,
-        norm_grad_U=potential_spec.norm_grad_U,
-        norm_h=weight_spec.norm_h,
-        norm_grad_h=weight_spec.norm_grad_h,
+        h=weight_spec.h, dh=weight_spec.dh,
+        norm_h=weight_spec.norm_h, norm_grad_h=weight_spec.norm_grad_h,
     )
 
 
 def validate_kernel(spec: KernelSpec, n_samples: int = 256, box: float = 5.0,
                     seed: int = 0) -> None:
-    """Sampled sanity checks: h >= 0 and h even (h(x) = h(-x)).
+    """Sampled sanity check: h >= 0 on squared distances up to those of the
+    box [-box, box]^3. Evenness (h(x) = h(-x)), which lets the pairwise
+    alignment sum conserve momentum, holds by construction for a radial h."""
+    if spec.h is None:
+        return
+    s = np.random.default_rng(seed).uniform(0.0, 3.0 * box * box, size=n_samples)
+    if np.any(spec.h(s) < 0):
+        raise BadKernelParams(f"{spec.name}: alignment weight is negative somewhere")
 
-    Evenness is what lets the pairwise alignment sum conserve momentum, so it
-    is enforced rather than assumed.
+
+class PairOperator:
+    """The pair sums of one frozen position state, for a fixed weight vector.
+
+    `build(x)` evaluates the force F and the weighted alignment matrix H at
+    positions x, reusing the N x N buffer of the previous build; `field(v)`
+    then costs one matvec. An operator belongs to one run: it is not shared
+    and not cached past it.
     """
-    rng = np.random.default_rng(seed)
-    for d in (2, 3):
-        pts = rng.uniform(-box, box, size=(n_samples, d))
-        hx = np.asarray(spec.align_weight(pts))
-        if np.any(hx < 0):
-            raise BadKernelParams(f"{spec.name}: alignment weight is negative somewhere")
-        if not np.allclose(hx, spec.align_weight(-pts), rtol=1e-12, atol=1e-14):
-            raise BadKernelParams(f"{spec.name}: alignment weight is not even")
+
+    def __init__(self, w, spec: KernelSpec):
+        self.w = np.asarray(w, dtype=float)
+        self.spec = spec
+        self.force = None
+        self.H = None
+        self.h_rowsum = None
+        self._buf = None
+
+    def build(self, x) -> "PairOperator":
+        x = np.asarray(x, dtype=float)
+        spec, w = self.spec, self.w
+        self.force = np.zeros(x.shape)
+        if spec.dU is None and spec.h is None:
+            return self  # no N x N buffer: noise-only runs reach N = 10^4
+        s = self._buf = cdist(x, x, "sqeuclidean", out=self._buf)
+        if spec.dU is not None:
+            g = spec.dU(s.copy() if spec.h is not None else s)
+            g *= w
+            # F depends on differences only; centring x keeps the two sums
+            # from cancelling when the swarm sits far from the origin
+            xc = x - np.mean(x, axis=0)
+            self.force = -2.0 * (np.sum(g, axis=1)[:, None] * xc - g @ xc)
+        if spec.h is not None:
+            self.H = spec.h(s)
+            self.H *= w
+            self.h_rowsum = np.sum(self.H, axis=1)
+        return self
+
+    def field(self, v) -> np.ndarray:
+        """a_i = F_i + sum_j H_ij (v_j - v_i) at the built positions."""
+        if self.H is None:
+            return self.force.copy()
+        a = self.H @ v
+        a -= self.h_rowsum[:, None] * v
+        a += self.force
+        return a
 
 
 def acceleration(ens, spec: KernelSpec) -> FieldSample:
     """Mean-field acceleration of every particle against the full ensemble.
 
-    Works on PhaseEnsemble and SphereEnsemble alike. The reduction uses
-    np.sum with a fixed per-row summation order, so results are bit-identical
-    regardless of worker count.
+    Works on PhaseEnsemble and SphereEnsemble alike. The pair sums are BLAS
+    matrix products; their bytes do not depend on the BLAS thread count
+    (checked by the suite at 1 and 2 OpenBLAS threads).
     """
     a = acceleration_arrays(ens.x, velocities(ens), ens.w, spec)
     sup = float(np.max(np.sqrt(np.sum(a * a, axis=1)))) if a.size else 0.0
@@ -243,41 +299,20 @@ def acceleration(ens, spec: KernelSpec) -> FieldSample:
 
 
 def acceleration_arrays(x, v, w, spec: KernelSpec) -> np.ndarray:
-    """Array-level pairwise field; used by the integrator substeps."""
-    n, d = x.shape
-    if spec.is_zero():
-        return np.zeros((n, d))
-    a = np.empty((n, d))
-    has_pot = spec.norm_grad_U > 0.0
-    has_align = spec.norm_h > 0.0
-    for i0 in range(0, n, _CHUNK):
-        i1 = min(i0 + _CHUNK, n)
-        dx = x[i0:i1, None, :] - x[None, :, :]          # (b, n, d)
-        block = np.zeros((i1 - i0, d))
-        if has_pot:
-            g = spec.grad_potential(dx)                  # (b, n, d)
-            block -= np.sum(w[None, :, None] * g, axis=1)
-        if has_align:
-            hw = spec.align_weight(dx) * w[None, :]      # (b, n)
-            block += np.sum(hw[:, :, None] * v[None, :, :], axis=1)
-            block -= np.sum(hw, axis=1)[:, None] * v[i0:i1]
-        a[i0:i1] = block
-    return a
+    """Array-level pairwise field: one pair build, then one apply."""
+    return PairOperator(w, spec).build(x).field(np.asarray(v, dtype=float))
 
 
 def interaction_energy(ens, spec: KernelSpec) -> float:
     """Potential part of the total energy: (1/2) sum_ij w_i w_j U(x_i - x_j),
     diagonal included (the empirical convolution keeps the self-pair)."""
-    if spec.potential is _zero_scalar:
+    if spec.U is None:
         return 0.0
-    x, w = ens.x, ens.w
-    total = 0.0
-    for i0 in range(0, x.shape[0], _CHUNK):
-        i1 = min(i0 + _CHUNK, x.shape[0])
-        dx = x[i0:i1, None, :] - x[None, :, :]
-        uvals = spec.potential(dx)
-        total += float(np.sum(w[i0:i1, None] * w[None, :] * uvals))
-    return 0.5 * total
+    w = ens.w
+    u = spec.U(cdist(ens.x, ens.x, "sqeuclidean"))
+    u *= w
+    u *= w[:, None]
+    return 0.5 * float(np.sum(u))
 
 
 def field_gap_bound(spec: KernelSpec, R: float) -> float:

@@ -47,21 +47,6 @@ class RootTriple:
     validity: bool
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """A velocity together with a flow time s in the admissible window (S(v), inf)."""
-
-    v: np.ndarray
-    s: float
-
-    def blowup(self, params: ModelParams) -> float:
-        return blowup_time(self.v, params)
-
-    def value(self, params: ModelParams) -> np.ndarray:
-        """Flow endpoint; raises FlowBlowup when s is outside the window."""
-        return free_flow(self.v, self.s, params)
-
-
 def lambda_eps(rho: float, eps: float, A: float, params: ModelParams) -> float:
     """Forced speed balance eps*A + (alpha - beta rho^2) rho."""
     if np.any(np.asarray(rho) < 0):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmlab
 from swarmlab.cli import (
     RunConfig,
     build_initial_ensemble,
@@ -115,6 +119,8 @@ class TestRun:
         moments = (tmp_path / "o" / "moments.csv").read_text().splitlines()
         assert moments[0].startswith("t,mass,momentum_1,momentum_2,kinetic")
         assert len(moments) == 1 + 3  # t=0 plus snapshots at steps 10 and 20
+        width = len(moments[0].split(","))
+        assert all(len(row.split(",")) == width for row in moments[1:])
 
     def test_simulate_limit_has_angles_in_3d(self, tmp_path):
         doc = {
@@ -208,6 +214,44 @@ class TestRun:
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        # the field is a BLAS matvec; N = 512 is large enough for OpenBLAS to
+        # split the product across two threads
+        doc = {
+            "mode": "sweep",
+            "model": {"alpha": 1.0, "beta": 1.0},
+            "kernels": {"name": "cucker_smale_weight", "params": {"K": 1.0, "gamma": 1.0}},
+            "init": {"n": 512, "dim": 2, "L0": 1.0, "r0": 0.5, "R0": 1.5,
+                     "distribution": "uniform_annulus", "seed": 21},
+            "integrator": {"dt": 5e-3, "stride": 5},
+            "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.05]},
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(doc))
+        src = str(Path(swarmlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-m", "swarmlab.cli", "sweep", str(cfg_path),
+                            "--output", str(out)], env=env, check=True,
+                           capture_output=True)
+            blobs = {}
+            for p in sorted(out.iterdir()):
+                if p.name == "manifest.json":   # timestamps and output paths
+                    continue
+                data = p.read_bytes()
+                if p.name == "sweep.csv":
+                    lines = data.decode().splitlines()
+                    cut = lines[0].split(",").index("runtime_ms")
+                    data = "\n".join(",".join(c for k, c in enumerate(ln.split(","))
+                                              if k != cut) for ln in lines).encode()
+                blobs[p.name] = data
+            outputs.append(blobs)
+        assert "sweep.csv" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_manifest_lists_all_files_and_hash_recomputes(self, tmp_path):
         cfg = parse_config(json.dumps(MINIMAL_EPS))

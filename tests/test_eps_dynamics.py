@@ -123,6 +123,7 @@ class TestStep:
     def test_alignment_half_kick_dissipates_kinetic_energy(self):
         # discrete energy change tracks the dissipation identity to O(dt^2)
         from swarmlab.eps_dynamics import _kick
+        from swarmlab.kernels import PairOperator
         ens = make_phase(32, seed=3)
         diss = []
         a = acceleration(ens, CS).a
@@ -130,7 +131,7 @@ class TestStep:
         assert rate < 0
         errs = []
         for dt in (4e-2, 2e-2, 1e-2):
-            v1 = _kick(ens.x, ens.v, ens.w, CS, 0.5 * dt)
+            v1 = _kick(PairOperator(ens.w, CS).build(ens.x), ens.v, 0.5 * dt)
             ke0 = float(np.sum(ens.w * np.sum(ens.v**2, axis=1)))
             ke1 = float(np.sum(ens.w * np.sum(v1**2, axis=1)))
             errs.append(abs((ke1 - ke0) - 0.5 * dt * rate))

@@ -13,9 +13,23 @@ from swarmlab import (
     w1_exact,
 )
 from swarmlab.errors import BadKernelParams, ValidationError
-from swarmlab.kernels import interaction_energy, validate_kernel
+from swarmlab.core import ModelParams, project_measure
+from swarmlab.eps_dynamics import EpsRunConfig, simulate
+from swarmlab.kernels import PairOperator, interaction_energy, validate_kernel
+from swarmlab.sphere_dynamics import SphereRunConfig, simulate_limit
 
 from conftest import make_phase
+
+GAUSSIAN = builtin_kernels("gaussian_attraction_repulsion",
+                           {"C_A": 0.7, "l_A": 1.1, "C_R": 0.4, "l_R": 0.6})
+ORACLE_SPECS = {
+    "gaussian": GAUSSIAN,
+    "cucker_smale": builtin_kernels("cucker_smale_weight", {"K": 1.3, "gamma": 0.8}),
+    "constant": builtin_kernels("constant_weight", {"K": 0.9}),
+    "zero": builtin_kernels("zero_potential"),
+    "composed": compose_kernels(
+        GAUSSIAN, builtin_kernels("cucker_smale_weight", {"K": 1.3, "gamma": 0.8})),
+}
 
 
 class TestBuiltins:
@@ -123,24 +137,25 @@ class TestAcceleration:
         ens = PhaseEnsemble.uniform_weights(x, v)
         assert acceleration(ens, spec).sup_norm <= 1e-15
 
-    def test_against_double_loop_fsum_oracle(self):
-        spec = compose_kernels(
-            builtin_kernels("gaussian_attraction_repulsion",
-                            {"C_A": 0.7, "l_A": 1.1, "C_R": 0.4, "l_R": 0.6}),
-            builtin_kernels("cucker_smale_weight", {"K": 1.3, "gamma": 0.8}),
-        )
-        ens = make_phase(50, d=3, seed=5)
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
+    def test_against_double_loop_fsum_oracle(self, family, d):
+        # the pair-operator field against exactly rounded pair sums of the
+        # vector evaluators
+        spec = ORACLE_SPECS[family]
+        ens = make_phase(50, d=d, seed=5)
         got = acceleration(ens, spec).a
         n = ens.n
-        oracle = np.zeros((n, 3))
+        dx = ens.x[:, None, :] - ens.x[None, :, :]
+        grad = spec.grad_potential(dx)
+        h = spec.align_weight(dx)
+        oracle = np.zeros((n, d))
         for i in range(n):
-            for k in range(3):
+            for k in range(d):
                 terms = []
                 for j in range(n):
-                    dx = ens.x[i] - ens.x[j]
-                    terms.append(-ens.w[j] * float(spec.grad_potential(dx)[k]))
-                    terms.append(ens.w[j] * float(spec.align_weight(dx))
-                                 * (ens.v[j, k] - ens.v[i, k]))
+                    terms.append(-ens.w[j] * float(grad[i, j, k]))
+                    terms.append(ens.w[j] * float(h[i, j]) * (ens.v[j, k] - ens.v[i, k]))
                 oracle[i, k] = math.fsum(terms)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
@@ -185,6 +200,38 @@ class TestAcceleration:
             float(ens.w[i] * ens.w[j] * spec.potential(ens.x[i] - ens.x[j]))
             for i in range(30) for j in range(30))
         assert got == pytest.approx(oracle, rel=1e-12)
+
+
+class TestPairOperator:
+    def test_one_build_per_position_state(self, monkeypatch):
+        builds = []
+        real_build = PairOperator.build
+
+        def counting_build(self, x):
+            builds.append(x.shape)
+            return real_build(self, x)
+
+        monkeypatch.setattr(PairOperator, "build", counting_build)
+        p = ModelParams(1.0, 1.0, 0.05)
+        k_steps = 5
+        simulate(make_phase(16, seed=9),
+                 EpsRunConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
+                              T=k_steps * 1e-2, snapshot_stride=2))
+        assert len(builds) == k_steps + 1
+        builds.clear()
+        simulate_limit(project_measure(make_phase(16, seed=9), p.r),
+                       SphereRunConfig(params=p, spec=ORACLE_SPECS["composed"],
+                                       dt=1e-2, T=k_steps * 1e-2, diffusion=True))
+        assert len(builds) == k_steps
+
+    def test_rebuild_matches_fresh_build(self):
+        # a rebuild reuses the N x N buffer; nothing of the old state survives
+        spec = ORACLE_SPECS["composed"]
+        a, b = make_phase(40, d=3, seed=1), make_phase(40, d=3, seed=2)
+        op = PairOperator(a.w, spec).build(a.x)
+        op.field(a.v)
+        again = op.build(b.x).field(b.v)
+        assert np.array_equal(again, PairOperator(b.w, spec).build(b.x).field(b.v))
 
 
 class TestFieldGapBound:
