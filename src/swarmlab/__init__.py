@@ -16,7 +16,7 @@ from .core import (
     project_measure,
     support_in_band,
 )
-from .eps_dynamics import EpsRunConfig, Trajectory, simulate, step, step_diffusive
+from .eps_dynamics import SimConfig, Trajectory, simulate, step
 from .kernels import (
     FieldSample,
     KernelSpec,
@@ -36,17 +36,12 @@ from .relaxation import (
     trapping_time_bounds,
 )
 from .sphere_dynamics import (
-    SphereRunConfig,
-    SphereTrajectory,
     TangentField,
     laplace_beltrami_via_extension,
     projected_field,
-    simulate_limit,
     spherical_coords_3d,
     spherical_divergence_3d,
     spherical_laplacian_3d,
-    step_limit,
-    step_limit_diffusive,
     tangential_projection,
     zero_hom_laplacian_formula,
 )

@@ -32,7 +32,7 @@ from .core import (
     ensemble_to_json,
     project_measure,
 )
-from .eps_dynamics import EpsRunConfig, simulate
+from .eps_dynamics import SimConfig, simulate
 from .errors import (
     BadBand,
     BadKernelParams,
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .kernels import builtin_kernels
 from .relaxation import blowup_time, root_asymptotics, solve_roots, speed_flow
-from .sphere_dynamics import SphereRunConfig, simulate_limit, spherical_coords_3d
+from .sphere_dynamics import spherical_coords_3d
 from .transport import convergence_study, w1_exact
 
 MODES = ("simulate-eps", "simulate-limit", "compare", "sweep", "roots", "flow", "project")
@@ -267,8 +267,9 @@ def _moments_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_trajectory(traj, outdir: Path, formats, prefix: str, files: list,
-                     sphere: bool):
+def _emit_trajectory(traj, outdir: Path, formats, files: list):
+    sphere = isinstance(traj.snapshots[0], SphereEnsemble)
+    prefix = "snap_limit" if sphere else "snap_eps"
     for k, snap in enumerate(traj.snapshots):
         if "csv" in formats:
             text = _sphere_snapshot_csv(snap) if sphere else ensemble_to_csv(snap)
@@ -291,9 +292,9 @@ def load_snapshot(path: str):
 # Mode handlers
 # ---------------------------------------------------------------------------
 
-def _eps_run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> EpsRunConfig:
+def _run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> SimConfig:
     integ = cfg.integrator
-    return EpsRunConfig(
+    return SimConfig(
         params=params, spec=spec, dt=float(integ["dt"]),
         T=float(horizon if horizon is not None else integ.get("T", 1.0)),
         snapshot_stride=int(integ["stride"]),
@@ -302,27 +303,17 @@ def _eps_run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> EpsRunC
     )
 
 
-def _mode_simulate_eps(cfg, outdir, seed, formats, files):
-    params = _model_params(cfg, need_eps=True)
+def _mode_simulate(cfg, outdir, seed, formats, files):
+    """simulate-eps runs the sampled ensemble, simulate-limit its projection
+    onto the speed sphere; `simulate` picks the step from the ensemble type."""
+    limit = cfg.mode == "simulate-limit"
+    params = _model_params(cfg, need_eps=not limit)
     spec = _kernel_spec(cfg)
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
-    traj = simulate(ens, _eps_run_config(cfg, params, spec, seed))
-    _emit_trajectory(traj, outdir, formats, "snap_eps", files, sphere=False)
-
-
-def _mode_simulate_limit(cfg, outdir, seed, formats, files):
-    params = _model_params(cfg, need_eps=False)
-    spec = _kernel_spec(cfg)
-    ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
-    sphere0 = project_measure(ens, params.r)
-    integ = cfg.integrator
-    run = SphereRunConfig(
-        params=params, spec=spec, dt=float(integ["dt"]),
-        T=float(integ.get("T", 1.0)), snapshot_stride=int(integ["stride"]),
-        diffusion=bool(integ["diffusion"]), rng_seed=seed,
-    )
-    traj = simulate_limit(sphere0, run)
-    _emit_trajectory(traj, outdir, formats, "snap_limit", files, sphere=True)
+    if limit:
+        ens = project_measure(ens, params.r)
+    traj = simulate(ens, _run_config(cfg, params, spec, seed))
+    _emit_trajectory(traj, outdir, formats, files)
 
 
 def _mode_project(cfg, outdir, seed, formats, files):
@@ -393,7 +384,7 @@ def _mode_sweep(cfg, outdir, seed, formats, files):
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
     eps_list = [float(e) for e in cfg.sweep["eps_list"]]
     t_grid = [float(t) for t in cfg.sweep["t_grid"]]
-    base = _eps_run_config(
+    base = _run_config(
         cfg, ModelParams(params.alpha, params.beta, eps_list[0]), spec, seed,
         horizon=max(t_grid),
     )
@@ -409,8 +400,8 @@ def _mode_sweep(cfg, outdir, seed, formats, files):
 
 
 _HANDLERS = {
-    "simulate-eps": _mode_simulate_eps,
-    "simulate-limit": _mode_simulate_limit,
+    "simulate-eps": _mode_simulate,
+    "simulate-limit": _mode_simulate,
     "project": _mode_project,
     "roots": _mode_roots,
     "flow": _mode_flow,

@@ -20,6 +20,10 @@ a K-step Strang run makes K + 1 builds, and each kick costs two matvecs.
 The diffusive variant adds, per half-kick, an increment sqrt(2) N(0, (dt/2) I)
 drawn from a counter-based stream keyed by (seed, step), so trajectories are
 reproducible at any worker count.
+
+`simulate` and `step` integrate both regimes: a PhaseEnsemble takes the
+splitting step above, a SphereEnsemble the fixed-speed limit step of
+`sphere_dynamics`. Either way one PairOperator is carried through the run.
 """
 
 from __future__ import annotations
@@ -30,14 +34,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise
-from .core import ModelParams, PhaseEnsemble, moments, velocities
+from .core import ModelParams, PhaseEnsemble, SphereEnsemble, moments, velocities
 from .errors import MissingSnapshot, ValidationError
 from .kernels import KernelSpec, PairOperator, interaction_energy
 from .relaxation import free_flow
+from .sphere_dynamics import advance_limit
 
 
 @dataclass(frozen=True)
-class EpsRunConfig:
+class SimConfig:
+    """Run parameters of either regime. The limit step ignores `params.eps`
+    and `scheme`."""
+
     params: ModelParams
     spec: KernelSpec
     dt: float
@@ -62,7 +70,7 @@ class EpsRunConfig:
 class Trajectory:
     """Ordered snapshots with per-snapshot moments and total energy."""
 
-    cfg: EpsRunConfig
+    cfg: SimConfig
     times: tuple
     snapshots: tuple
     moment_reports: tuple
@@ -103,16 +111,19 @@ def _kick(op, v, tau, shot=None):
     return out
 
 
-def _operator(ens: PhaseEnsemble, cfg: EpsRunConfig) -> PairOperator:
-    """The pair operator a run from `ens` starts with: built at ens.x for
-    Strang, whose first kick precedes the drift; Lie builds after its drift."""
+def _stepper(ens, cfg: SimConfig):
+    """The step function of the regime `ens` lives in, and the pair operator a
+    run from `ens` starts with. Strang builds at ens.x, since its first kick
+    precedes the drift; Lie and the limit step build on their own."""
     op = PairOperator(ens.w, cfg.spec)
-    return op.build(ens.x) if cfg.scheme == "strang" else op
+    if isinstance(ens, SphereEnsemble):
+        return advance_limit, op
+    return _advance, (op.build(ens.x) if cfg.scheme == "strang" else op)
 
 
-def _advance(ens: PhaseEnsemble, cfg: EpsRunConfig, step_index: int,
+def _advance(ens: PhaseEnsemble, cfg: SimConfig, step_index: int,
              op: PairOperator) -> PhaseEnsemble:
-    """One step; `op` comes from `_operator` or the previous step, and is left
+    """One step; `op` comes from `_stepper` or the previous step, and is left
     built at the new positions."""
     dt = cfg.dt
     p = cfg.params
@@ -139,34 +150,25 @@ def _advance(ens: PhaseEnsemble, cfg: EpsRunConfig, step_index: int,
     return PhaseEnsemble(x=x, v=v, w=w, time=ens.time + dt)
 
 
-def step(ens: PhaseEnsemble, cfg: EpsRunConfig, step_index: int = 0) -> PhaseEnsemble:
-    """One deterministic step."""
-    if cfg.diffusion:
-        raise ValidationError("cfg.diffusion is set; use step_diffusive")
-    return _advance(ens, cfg, step_index, _operator(ens, cfg))
+def step(ens, cfg: SimConfig, step_index: int = 0):
+    """One step of the regime `ens` lives in, with noise iff cfg.diffusion."""
+    advance, op = _stepper(ens, cfg)
+    return advance(ens, cfg, step_index, op)
 
 
-def step_diffusive(ens: PhaseEnsemble, cfg: EpsRunConfig, step_index: int = 0) -> PhaseEnsemble:
-    """One step with velocity-space diffusion."""
-    if not cfg.diffusion:
-        raise ValidationError("cfg.diffusion is not set; use step")
-    return _advance(ens, cfg, step_index, _operator(ens, cfg))
-
-
-def simulate(f_in: PhaseEnsemble, cfg: EpsRunConfig) -> Trajectory:
+def simulate(f_in, cfg: SimConfig) -> Trajectory:
     """Push the initial ensemble through round(T/dt) steps, storing snapshots
-    every `snapshot_stride` steps (plus the initial and final states)."""
+    every `snapshot_stride` steps (plus the initial and final states). A
+    PhaseEnsemble runs the eps system, a SphereEnsemble its sphere limit."""
     n_steps = int(round(cfg.T / cfg.dt))
-    if n_steps < 1:
-        raise ValidationError("horizon too short for a single step")
     times = [f_in.time]
     snaps = [f_in]
     reports = [moments(f_in)]
     energies = [total_energy(f_in, cfg.spec)]
     ens = f_in
-    op = _operator(f_in, cfg)
+    advance, op = _stepper(f_in, cfg)
     for k in range(n_steps):
-        ens = _advance(ens, cfg, k, op)
+        ens = advance(ens, cfg, k, op)
         ens = replace(ens, time=f_in.time + (k + 1) * cfg.dt)
         if (k + 1) % cfg.snapshot_stride == 0 or (k + 1) == n_steps:
             times.append(ens.time)

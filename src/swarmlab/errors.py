@@ -6,7 +6,8 @@ class SwarmError(Exception):
 
 
 class ZeroVelocityParticle(SwarmError):
-    """A particle has exactly zero velocity (unstable equilibrium, unsupported)."""
+    """A particle has exactly zero velocity (unstable equilibrium, unsupported),
+    or an operation undefined at v = 0 was asked for there."""
 
 
 class BadKernelParams(SwarmError):
@@ -23,10 +24,6 @@ class BadBand(SwarmError):
 
 class UnsupportedPsi(SwarmError):
     """Test function support touches the origin or the equilibrium sphere."""
-
-
-class ZeroVelocity(SwarmError):
-    """Operation undefined at v = 0."""
 
 
 class PoleSingularity(SwarmError):

@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import ModelParams
 from .errors import BadBand, FlowBlowup, UnsupportedPsi, ValidationError
 
-ROOT_MAX_ITER = 200
 RADICAND_GUARD = 1e-12  # relative guard band before declaring blow-up
 
 
@@ -54,29 +54,14 @@ def lambda_eps(rho: float, eps: float, A: float, params: ModelParams) -> float:
     return eps * A + (params.alpha - params.beta * rho**2) * rho
 
 
-def _bisect(f, lo, hi):
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    assert flo * fhi < 0, "bisection bracket does not change sign"
-    for _ in range(ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return lo if abs(f(lo)) <= abs(f(hi)) else hi
+def _root(f, lo, hi):
+    # xtol far below any root: brentq then stops at its relative tolerance,
+    # a few ulps of the root; a bracket without a sign change raises
+    return brentq(f, lo, hi, xtol=1e-300)
 
 
 def solve_roots(eps: float, A: float, params: ModelParams) -> RootTriple:
-    """Bisection on the sign-analysis brackets: lambda increases on
+    """Brent's method on the sign-analysis brackets: lambda increases on
     [0, r/sqrt(3)] and decreases beyond, so each root is bracketed a priori.
     No Newton steps (the derivative vanishes at rho = r/sqrt(3))."""
     if eps <= 0:
@@ -91,14 +76,14 @@ def solve_roots(eps: float, A: float, params: ModelParams) -> RootTriple:
             return RootTriple(rho1=None, rho2=None, rho3=None, A=A, eps=eps,
                               validity=False)
         knee = r / math.sqrt(3.0)
-        rho1 = _bisect(f, 0.0, knee)
-        rho2 = _bisect(f, knee, r)
+        rho1 = _root(f, 0.0, knee)
+        rho2 = _root(f, knee, r)
         return RootTriple(rho1=rho1, rho2=rho2, rho3=None, A=A, eps=eps,
                           validity=True)
     hi = r + max(r, 1.0)
     while f(hi) >= 0.0:
         hi = r + 2.0 * (hi - r)
-    rho3 = _bisect(f, r, hi)
+    rho3 = _root(f, r, hi)
     return RootTriple(rho1=None, rho2=None, rho3=rho3, A=A, eps=eps, validity=True)
 
 
@@ -189,29 +174,6 @@ def trapping_time_bounds(r0: float, R0: float, eps: float, params: ModelParams):
     return (t1, t2)
 
 
-def _adaptive_simpson(f, a, b, tol):
-    """Plain recursive adaptive Simpson; integrand assumed smooth."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, fl, f1, left, 0.5 * tol, depth - 1)
-                + recurse(xm, x2, f1, fr, f2, right, 0.5 * tol, depth - 1))
-
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, depth=48)
-
-
 def adjoint_potential(psi, v, params: ModelParams, support, tol: float = 1e-10) -> float:
     """Bounded C1 potential phi with -(alpha - beta|v|^2) v . grad(phi) = psi.
 
@@ -228,8 +190,15 @@ def adjoint_potential(psi, v, params: ModelParams, support, tol: float = 1e-10) 
         raise UnsupportedPsi(
             f"support radii must satisfy 0 < r1 < r2 < r < r3 < r4, got {support}"
         )
+    # imported here: scipy.integrate would add its load time to `import swarmlab`
+    from scipy.integrate import quad
+
     v = np.asarray(v, dtype=float)
     u = float(np.sqrt(np.sum(v * v)))
+
+    def line_integral(start, t0, t1):
+        return quad(lambda t: psi(free_flow(start, t, params)), t0, t1,
+                    epsabs=tol, epsrel=0.0)[0]
 
     def phi_inner(speed, direction):
         # -int_{tau1}^{0} psi(V(tau; speed*dir)) dtau, tau1 = flow time back to r1
@@ -237,8 +206,7 @@ def adjoint_potential(psi, v, params: ModelParams, support, tol: float = 1e-10) 
             return 0.0
         start = direction * speed
         tau1 = crossing_time(speed, r1, params)  # negative
-        return -_adaptive_simpson(lambda t: psi(free_flow(start, t, params)),
-                                  tau1, 0.0, tol)
+        return -line_integral(start, tau1, 0.0)
 
     if u <= r1:
         return 0.0
@@ -251,7 +219,7 @@ def adjoint_potential(psi, v, params: ModelParams, support, tol: float = 1e-10) 
     u_eff = min(u, r4)  # phi is constant along rays beyond r4
     start = direction * u_eff
     tau3 = crossing_time(u_eff, r3, params)  # positive: outward flow decays to r3
-    outer = _adaptive_simpson(lambda t: psi(free_flow(start, t, params)), 0.0, tau3, tol)
+    outer = line_integral(start, 0.0, tau3)
     return base + outer
 
 

@@ -2,11 +2,12 @@
 
 The limit of the stiff system constrains velocities to |omega| = r; what
 remains of the interaction field is its tangential part
-(I - omega (x) omega / r^2) a. The deterministic step is project-then-
+(I - omega (x) omega / r^2) a. The limit step `advance_limit` is project-then-
 renormalize (the tangency of the projected drift makes the renormalization
-correction O(dt^2)); the diffusive step projects an ambient sqrt(2)-Gaussian
+correction O(dt^2)); with diffusion it projects an ambient sqrt(2)-Gaussian
 increment the same way, which realizes the intrinsic sphere Laplacian as its
-weak generator (validated by the degree-1 eigenvalue test in the suite).
+weak generator (validated by the degree-1 eigenvalue test in the suite). Runs
+go through `eps_dynamics.simulate`, as eps runs do.
 
 The remaining operations are executable identities: the intrinsic Laplacian
 computed three ways (finite differences of the degree-zero homogeneous
@@ -19,56 +20,16 @@ itself runs in Cartesian components and never touches a chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise
-from .core import ModelParams, SphereEnsemble, moments
-from .errors import MissingSnapshot, PoleSingularity, ValidationError, ZeroVelocity
-from .eps_dynamics import total_energy
-from .kernels import KernelSpec, acceleration_arrays
+from .core import SphereEnsemble
+from .errors import PoleSingularity, ValidationError, ZeroVelocityParticle
+from .kernels import KernelSpec, PairOperator, acceleration_arrays
 
 POLE_BAND = 1e-10  # excluded |sin(theta)| margin for chart-based operations
-
-
-@dataclass(frozen=True)
-class SphereRunConfig:
-    params: ModelParams   # eps plays no role in the limit dynamics
-    spec: KernelSpec
-    dt: float
-    T: float
-    snapshot_stride: int = 100
-    diffusion: bool = False
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.T < self.dt:
-            raise ValidationError(f"horizon T={self.T} shorter than one step dt={self.dt}")
-        if self.snapshot_stride < 1:
-            raise ValidationError(f"snapshot stride must be >= 1, got {self.snapshot_stride}")
-
-
-@dataclass(frozen=True)
-class SphereTrajectory:
-    cfg: SphereRunConfig
-    times: tuple
-    snapshots: tuple
-    moment_reports: tuple
-    energies: tuple
-
-    def __post_init__(self):
-        if np.any(np.diff(np.asarray(self.times)) <= 0):
-            raise ValidationError("snapshot times must be strictly increasing")
-
-    def snapshot_at(self, t: float):
-        tol = 0.5 * self.cfg.dt
-        for tk, snap in zip(self.times, self.snapshots):
-            if abs(tk - t) <= tol:
-                return snap
-        raise MissingSnapshot(f"no snapshot within dt/2 of t={t}")
 
 
 @dataclass(frozen=True)
@@ -126,52 +87,25 @@ def _renormalize(u, omega, r):
     return out
 
 
-def step_limit(ens: SphereEnsemble, cfg: SphereRunConfig, step_index: int = 0) -> SphereEnsemble:
-    """Transport by omega, then rotate omega by the projected field."""
-    a = acceleration_arrays(ens.x, ens.omega, ens.w, cfg.spec)
+def advance_limit(ens: SphereEnsemble, cfg, step_index: int,
+                  op: PairOperator) -> SphereEnsemble:
+    """One limit step: transport by omega, then rotate omega by the projected
+    field, plus, iff cfg.diffusion, a projected sqrt(2)-Gaussian increment
+    (projected Euler-Maruyama: weak order 1 for drift plus intrinsic sphere
+    diffusion). `op` is rebuilt at ens.x; `cfg.params.eps` and `cfg.scheme`
+    play no role here."""
+    a = op.build(ens.x).field(ens.omega)
     xi = tangential_projection(a, ens.omega)
     x = ens.x + cfg.dt * ens.omega
-    omega = _renormalize(ens.omega + cfg.dt * xi, ens.omega, ens.r)
-    return SphereEnsemble(x=x, omega=omega, w=ens.w, r=ens.r, time=ens.time + cfg.dt)
-
-
-def step_limit_diffusive(ens: SphereEnsemble, cfg: SphereRunConfig,
-                         step_index: int = 0) -> SphereEnsemble:
-    """Projected Euler-Maruyama step: weak order 1 for drift plus intrinsic
-    sphere diffusion."""
-    a = acceleration_arrays(ens.x, ens.omega, ens.w, cfg.spec)
-    shot = noise.gaussian_increments(cfg.rng_seed, noise.SPHERE_DYNAMICS,
-                                     step_index, ens.omega.shape)
-    # drift and noise projected separately so a zero draw reproduces the
-    # deterministic step bit for bit
-    xi = tangential_projection(a, ens.omega)
-    eta = tangential_projection(shot, ens.omega)
-    x = ens.x + cfg.dt * ens.omega
-    u = ens.omega + cfg.dt * xi + math.sqrt(2.0 * cfg.dt) * eta
+    u = ens.omega + cfg.dt * xi
+    if cfg.diffusion:
+        # drift and noise projected separately so a zero draw reproduces the
+        # deterministic step bit for bit
+        shot = noise.gaussian_increments(cfg.rng_seed, noise.SPHERE_DYNAMICS,
+                                         step_index, ens.omega.shape)
+        u = u + math.sqrt(2.0 * cfg.dt) * tangential_projection(shot, ens.omega)
     omega = _renormalize(u, ens.omega, ens.r)
     return SphereEnsemble(x=x, omega=omega, w=ens.w, r=ens.r, time=ens.time + cfg.dt)
-
-
-def simulate_limit(f_in: SphereEnsemble, cfg: SphereRunConfig) -> SphereTrajectory:
-    n_steps = int(round(cfg.T / cfg.dt))
-    if n_steps < 1:
-        raise ValidationError("horizon too short for a single step")
-    advance = step_limit_diffusive if cfg.diffusion else step_limit
-    times = [f_in.time]
-    snaps = [f_in]
-    reports = [moments(f_in)]
-    energies = [total_energy(f_in, cfg.spec)]
-    ens = f_in
-    for k in range(n_steps):
-        ens = advance(ens, cfg, step_index=k)
-        ens = replace(ens, time=f_in.time + (k + 1) * cfg.dt)
-        if (k + 1) % cfg.snapshot_stride == 0 or (k + 1) == n_steps:
-            times.append(ens.time)
-            snaps.append(ens)
-            reports.append(moments(ens))
-            energies.append(total_energy(ens, cfg.spec))
-    return SphereTrajectory(cfg=cfg, times=tuple(times), snapshots=tuple(snaps),
-                            moment_reports=tuple(reports), energies=tuple(energies))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +146,7 @@ def zero_hom_laplacian_formula(phi, v, r: float, step: float | None = None) -> f
     v = np.asarray(v, dtype=float)
     vnorm = math.sqrt(float(np.sum(v * v)))
     if vnorm == 0.0:
-        raise ZeroVelocity("formula undefined at v = 0")
+        raise ZeroVelocityParticle("formula undefined at v = 0")
     h = 1e-4 * r if step is None else step
     d = v.shape[0]
     u = v * (r / vnorm)

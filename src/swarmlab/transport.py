@@ -28,10 +28,9 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .eps_dynamics import EpsRunConfig, simulate
+from .eps_dynamics import SimConfig, simulate
 from .kernels import acceleration
 from .relaxation import solve_roots
-from .sphere_dynamics import SphereRunConfig, simulate_limit
 
 EXACT_CAP = 2048  # combined particle budget for the exact solvers
 
@@ -151,7 +150,7 @@ class ConvergenceTable:
         raise MissingSnapshot(f"no table row for eps={eps}, t={t}")
 
 
-def convergence_study(f_in, eps_list, t_grid, cfg: EpsRunConfig) -> ConvergenceTable:
+def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTable:
     """Run the stiff system at each eps and the sphere limit once, all from
     the same initial atoms (the limit starts from the projected measure), and
     tabulate W1 between matching snapshots."""
@@ -163,12 +162,7 @@ def convergence_study(f_in, eps_list, t_grid, cfg: EpsRunConfig) -> ConvergenceT
         raise ValidationError("convergence study compares the deterministic dynamics")
     horizon = max(max(t_grid), cfg.dt)
     base = replace(cfg, T=horizon)
-    lim_cfg = SphereRunConfig(
-        params=base.params, spec=base.spec, dt=base.dt, T=horizon,
-        snapshot_stride=base.snapshot_stride, diffusion=False,
-        rng_seed=base.rng_seed,
-    )
-    lim_traj = simulate_limit(project_measure(f_in, base.params.r), lim_cfg)
+    lim_traj = simulate(project_measure(f_in, base.params.r), base)
     eps_trajs = {}
     for eps in eps_list:
         params = ModelParams(alpha=base.params.alpha, beta=base.params.beta, eps=eps)

@@ -16,10 +16,10 @@ from scipy.spatial.distance import cdist
 
 import swarmlab as sl
 from swarmlab.cli import build_initial_ensemble, parse_config, run
-from swarmlab.eps_dynamics import EpsRunConfig
+from swarmlab.eps_dynamics import SimConfig
 from swarmlab.kernels import compose_kernels
 from swarmlab.relaxation import adjoint_sup_bound
-from swarmlab.sphere_dynamics import SphereRunConfig, sphere_point_3d
+from swarmlab.sphere_dynamics import sphere_point_3d
 from swarmlab.transport import equicontinuity_probe
 
 from conftest import make_phase
@@ -94,8 +94,8 @@ def test_criterion_03_trapping():
     # (a) initialized inside the band (on the sphere): stays for T = 2
     ens = build_initial_ensemble(
         {"n": 256, "dim": 2, "L0": 1.0, "distribution": "on_sphere", "seed": 5}, P11)
-    cfg = EpsRunConfig(params=P11, spec=GAUSS_CS, dt=dt, T=2.0,
-                       snapshot_stride=20, rng_seed=5)
+    cfg = SimConfig(params=P11, spec=GAUSS_CS, dt=dt, T=2.0,
+                    snapshot_stride=20, rng_seed=5)
     traj = sl.simulate(ens, cfg)
     a_sup = max(sl.acceleration(s, GAUSS_CS).sup_norm for s in traj.snapshots)
     assert P11.eps * a_sup < 2.0 / (3.0 * math.sqrt(3.0))
@@ -109,8 +109,8 @@ def test_criterion_03_trapping():
     ens2 = build_initial_ensemble(
         {"n": 256, "dim": 2, "L0": 1.0, "r0": r0, "R0": big_r,
          "distribution": "uniform_annulus", "seed": 6}, P11)
-    cfg2 = EpsRunConfig(params=P11, spec=GAUSS_CS, dt=dt, T=0.2,
-                        snapshot_stride=1, rng_seed=6)
+    cfg2 = SimConfig(params=P11, spec=GAUSS_CS, dt=dt, T=0.2,
+                     snapshot_stride=1, rng_seed=6)
     traj2 = sl.simulate(ens2, cfg2)
     a2 = max(sl.acceleration(s, GAUSS_CS).sup_norm for s in traj2.snapshots)
     lo2 = sl.solve_roots(P11.eps, -a2, P11)
@@ -178,8 +178,8 @@ def test_criterion_06_convergence_well_prepared():
     ens = build_initial_ensemble(
         {"n": 256, "dim": 2, "L0": 1.0, "distribution": "on_sphere", "seed": 42},
         params)
-    cfg = EpsRunConfig(params=params, spec=CS, dt=1e-3, T=1.0,
-                       snapshot_stride=100, rng_seed=42)
+    cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=1.0,
+                    snapshot_stride=100, rng_seed=42)
     table = sl.convergence_study(ens, [0.08, 0.04, 0.02], [1.0], cfg)
     vals = [table.w1(e, 1.0) for e in (0.08, 0.04, 0.02)]
     strictly_dec = all(b < a for a, b in zip(vals, vals[1:]))
@@ -198,8 +198,8 @@ def test_criterion_07_convergence_non_prepared():
     ens = build_initial_ensemble(
         {"n": 256, "dim": 2, "L0": 1.0, "r0": 0.5, "R0": 1.5,
          "distribution": "uniform_annulus", "seed": 42}, params)
-    cfg = EpsRunConfig(params=params, spec=CS, dt=1e-3, T=0.5,
-                       snapshot_stride=100, rng_seed=42)
+    cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=0.5,
+                    snapshot_stride=100, rng_seed=42)
     table = sl.convergence_study(ens, [0.08, 0.04, 0.02], [0.0, 0.5], cfg)
     at_half = [table.w1(e, 0.5) for e in (0.08, 0.04, 0.02)]
     at_zero = [table.w1(e, 0.0) for e in (0.08, 0.04, 0.02)]
@@ -219,8 +219,8 @@ def test_criterion_08_equicontinuity():
     ens = build_initial_ensemble(
         {"n": 256, "dim": 2, "L0": 1.0, "distribution": "on_sphere", "seed": 8},
         params)
-    cfg = EpsRunConfig(params=params, spec=CS, dt=5e-3, T=2.0,
-                       snapshot_stride=40, rng_seed=8)
+    cfg = SimConfig(params=params, spec=CS, dt=5e-3, T=2.0,
+                    snapshot_stride=40, rng_seed=8)
     traj = sl.simulate(ens, cfg)
     pairs = [(a, b) for a, b in itertools.combinations(traj.times, 2)]
     rep = equicontinuity_probe(traj, pairs)
@@ -275,11 +275,11 @@ def test_criterion_10_sphere_diffusion_generator():
     n = 10000
     ens = sl.SphereEnsemble(x=np.zeros((n, 3)), omega=np.tile([0, 0, r], (n, 1)),
                             w=np.full(n, 1.0 / n), r=r)
-    cfg = SphereRunConfig(params=sl.ModelParams(1.0, 1.0, 1.0),
-                          spec=sl.builtin_kernels("zero_potential"),
-                          dt=2e-3, T=10.0 * r**2 / 2.0, snapshot_stride=25,
-                          diffusion=True, rng_seed=10)
-    traj = sl.simulate_limit(ens, cfg)
+    cfg = SimConfig(params=sl.ModelParams(1.0, 1.0, 1.0),
+                    spec=sl.builtin_kernels("zero_potential"),
+                    dt=2e-3, T=10.0 * r**2 / 2.0, snapshot_stride=25,
+                    diffusion=True, rng_seed=10)
+    traj = sl.simulate(ens, cfg)
     ts = np.array(traj.times)
     m3 = np.array([float(np.sum(s.w * s.omega[:, 2])) for s in traj.snapshots])
     mask = m3 > 0.1 * r
@@ -363,11 +363,23 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
         "integrator": {"dt": 5e-3, "T": 0.2, "stride": 10, "diffusion": True},
         "output": {"formats": ["csv", "json"]},
     }
+    # the sphere noise path runs through the same `simulate` as the eps runs
+    limit_doc = {
+        "mode": "simulate-limit",
+        "model": {"alpha": 1.0, "beta": 1.0},
+        "kernels": {"name": "gaussian_attraction_repulsion",
+                    "params": {"C_A": 1.0, "l_A": 1.0, "C_R": 0.5, "l_R": 0.5}},
+        "init": {"n": 32, "dim": 3, "L0": 1.0, "distribution": "on_sphere",
+                 "seed": 12},
+        "integrator": {"dt": 5e-3, "T": 0.1, "stride": 5, "diffusion": True},
+        "output": {"formats": ["csv", "json"]},
+    }
     outputs = []
     for label, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         monkeypatch.setenv("SWARM_THREADS", threads)
         blobs = {}
-        for sub, doc in (("sweep", sweep_doc), ("eps", diffusive_doc)):
+        for sub, doc in (("sweep", sweep_doc), ("eps", diffusive_doc),
+                         ("limit", limit_doc)):
             base = tmp_path / label / sub
             run(parse_config(json.dumps(doc)), output_dir=str(base), seed=12)
             for p in sorted(base.iterdir()):
@@ -391,5 +403,6 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
     a, b, c = (normalize(o) for o in outputs)
     assert a == b == c
     assert len(a) > 10  # snapshot series, moments table, sweep table
+    assert any(name.startswith("limit/snap_limit") for name in a)
     _report("criterion 12 (determinism)", time.perf_counter() - tic, 120.0,
             f"{len(a)} data files byte-identical across thread counts and reruns")

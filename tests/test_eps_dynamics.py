@@ -11,14 +11,16 @@ from swarmlab import (
     PhaseEnsemble,
     acceleration,
     builtin_kernels,
+    compose_kernels,
     free_flow,
+    project_measure,
     simulate,
     solve_roots,
     step,
-    step_diffusive,
     w1_exact,
 )
-from swarmlab.eps_dynamics import EpsRunConfig, total_energy
+from swarmlab.cli import build_initial_ensemble
+from swarmlab.eps_dynamics import SimConfig, total_energy
 from swarmlab.errors import MissingSnapshot, ValidationError
 
 from conftest import make_phase
@@ -29,30 +31,20 @@ CS = builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
 
 def cfgf(params, spec, dt, T, **kw):
     kw.setdefault("snapshot_stride", max(1, int(round(T / dt))))
-    return EpsRunConfig(params=params, spec=spec, dt=dt, T=T, **kw)
+    return SimConfig(params=params, spec=spec, dt=dt, T=T, **kw)
 
 
 class TestConfig:
     def test_invalid_configs_rejected(self):
         p = ModelParams(1, 1, 0.1)
         with pytest.raises(ValidationError):
-            EpsRunConfig(params=p, spec=ZERO, dt=-1e-3, T=1.0)
+            SimConfig(params=p, spec=ZERO, dt=-1e-3, T=1.0)
         with pytest.raises(ValidationError):
-            EpsRunConfig(params=p, spec=ZERO, dt=1e-3, T=1e-4)
+            SimConfig(params=p, spec=ZERO, dt=1e-3, T=1e-4)
         with pytest.raises(ValidationError):
-            EpsRunConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, snapshot_stride=0)
+            SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, snapshot_stride=0)
         with pytest.raises(ValidationError):
-            EpsRunConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, scheme="verlet")
-
-    def test_diffusion_flag_routing(self):
-        p = ModelParams(1, 1, 0.1)
-        ens = make_phase(4)
-        det = EpsRunConfig(params=p, spec=ZERO, dt=1e-3, T=1e-3)
-        sto = EpsRunConfig(params=p, spec=ZERO, dt=1e-3, T=1e-3, diffusion=True)
-        with pytest.raises(ValidationError):
-            step(ens, sto)
-        with pytest.raises(ValidationError):
-            step_diffusive(ens, det)
+            SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, scheme="verlet")
 
 
 class TestStep:
@@ -171,7 +163,7 @@ class TestSimulate:
 
     def test_snapshot_times_and_lookup(self):
         p = ModelParams(1.0, 1.0, 0.1)
-        traj = simulate(make_phase(4), EpsRunConfig(
+        traj = simulate(make_phase(4), SimConfig(
             params=p, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=2))
         assert traj.times == (0.0,) + tuple((k + 1) * 2e-2 for k in range(5))
         assert traj.snapshot_at(0.06).time == pytest.approx(0.06)
@@ -183,8 +175,8 @@ class TestSimulate:
         l0, big_r = 1.0, 1.5
         ens = make_phase(64, seed=5, speed_lo=0.5, speed_hi=big_r, box=l0 / 2)
         dt = 1e-3
-        traj = simulate(ens, EpsRunConfig(params=p, spec=CS, dt=dt, T=0.5,
-                                          snapshot_stride=50))
+        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=dt, T=0.5,
+                                       snapshot_stride=50))
         a_sup = max(acceleration(s, CS).sup_norm for s in traj.snapshots)
         for t, rep in zip(traj.times, traj.moment_reports):
             assert rep.pos_radius_max <= l0 + t * big_r + (a_sup + 1.0) * dt * t + 1e-12
@@ -194,7 +186,7 @@ class TestSimulate:
         p = ModelParams(1.0, 1.0, 0.05)
         lo = PhaseEnsemble(x=[[0.0, 0.0]], v=[[0.4, 0.0]], w=[1.0])
         hi = PhaseEnsemble(x=[[0.0, 0.0]], v=[[1.7, 0.0]], w=[1.0])
-        cfg = EpsRunConfig(params=p, spec=ZERO, dt=1e-3, T=0.2, snapshot_stride=10)
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, T=0.2, snapshot_stride=10)
         s_lo = [r.speed_max for r in simulate(lo, cfg).moment_reports]
         s_hi = [r.speed_max for r in simulate(hi, cfg).moment_reports]
         assert all(b > a for a, b in zip(s_lo, s_lo[1:]))
@@ -205,15 +197,15 @@ class TestSimulate:
     def test_total_energy_decreases_zero_potential(self):
         p = ModelParams(1.0, 1.0, 1e6)  # relaxation negligible
         ens = make_phase(16, seed=6)
-        traj = simulate(ens, EpsRunConfig(params=p, spec=CS, dt=1e-3, T=0.3,
-                                          snapshot_stride=30))
+        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, T=0.3,
+                                       snapshot_stride=30))
         assert all(b <= a + 1e-12 for a, b in zip(traj.energies, traj.energies[1:]))
 
     def test_determinism_bitwise(self):
         p = ModelParams(1.0, 1.0, 0.05)
         ens = make_phase(12, seed=7)
-        cfg = EpsRunConfig(params=p, spec=CS, dt=1e-3, T=0.05,
-                           snapshot_stride=10, diffusion=True, rng_seed=99)
+        cfg = SimConfig(params=p, spec=CS, dt=1e-3, T=0.05,
+                        snapshot_stride=10, diffusion=True, rng_seed=99)
         a = simulate(ens, cfg)
         b = simulate(ens, cfg)
         for sa, sb in zip(a.snapshots, b.snapshots):
@@ -228,8 +220,8 @@ class TestDiffusive:
         n, d = 10000, 2
         v0 = np.tile([1.0, 0.0], (n, 1))
         ens = PhaseEnsemble(x=np.zeros((n, d)), v=v0, w=np.full(n, 1.0 / n))
-        cfg = EpsRunConfig(params=p, spec=ZERO, dt=1e-2, T=1.0,
-                           snapshot_stride=100, diffusion=True, rng_seed=11)
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, T=1.0,
+                        snapshot_stride=100, diffusion=True, rng_seed=11)
         traj = simulate(ens, cfg)
         disp = traj.snapshots[-1].v - v0
         var = float(np.mean(np.sum(disp**2, axis=1)))
@@ -240,9 +232,9 @@ class TestDiffusive:
         ens = make_phase(8, seed=8)
         monkeypatch.setattr(noise, "gaussian_increments",
                             lambda seed, dom, k, shape: np.zeros(shape))
-        det = step(ens, EpsRunConfig(params=p, spec=CS, dt=1e-3, T=1e-3))
-        sto = step_diffusive(ens, EpsRunConfig(params=p, spec=CS, dt=1e-3,
-                                               T=1e-3, diffusion=True))
+        det = step(ens, SimConfig(params=p, spec=CS, dt=1e-3, T=1e-3))
+        sto = step(ens, SimConfig(params=p, spec=CS, dt=1e-3,
+                                  T=1e-3, diffusion=True))
         assert np.array_equal(det.v, sto.v)
         assert np.array_equal(det.x, sto.x)
 
@@ -252,8 +244,8 @@ class TestDiffusive:
         n = 4000
         ens = PhaseEnsemble(x=np.zeros((n, 2)), v=np.tile([1.0, 0.0], (n, 1)),
                             w=np.full(n, 1.0 / n))
-        cfg = EpsRunConfig(params=p, spec=ZERO, dt=1e-3, T=1.0,
-                           snapshot_stride=1000, diffusion=True, rng_seed=13)
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0,
+                        snapshot_stride=1000, diffusion=True, rng_seed=13)
         traj = simulate(ens, cfg)
         speeds = traj.snapshots[-1].speeds()
         band = 5.0 * math.sqrt(p.eps)
@@ -266,7 +258,7 @@ class TestDiffusive:
         p = ModelParams(1.0, 1.0, 0.01)
         dt = 2e-3
         ens = make_phase(64, seed=9, speed_lo=0.5, speed_hi=1.5)
-        cfg = EpsRunConfig(params=p, spec=CS, dt=dt, T=0.5, snapshot_stride=25)
+        cfg = SimConfig(params=p, spec=CS, dt=dt, T=0.5, snapshot_stride=25)
         traj = simulate(ens, cfg)
         a_sup = max(acceleration(s, CS).sup_norm for s in traj.snapshots)
         lo = solve_roots(p.eps, -a_sup, p)
@@ -281,3 +273,44 @@ class TestDiffusive:
         # once in, never out
         k = traj.times.index(entered[0])
         assert len(entered) == len(traj.times) - k
+
+
+class TestMeasuredOrder:
+    """Temporal order of both regimes through one `simulate`, measured in W1
+    at T = 0.5 against a dt = 1.25e-4 limit run (N = 32, d = 2, CS+G)."""
+
+    P = ModelParams(1.0, 1.0, 1e-9)
+    SPEC = compose_kernels(
+        builtin_kernels("gaussian_attraction_repulsion",
+                        {"C_A": 1.0, "l_A": 1.0, "C_R": 0.5, "l_R": 0.5}),
+        CS,
+    )
+    DTS = (4e-3, 2e-3, 1e-3)
+
+    def final(self, ens, dt):
+        cfg = SimConfig(params=self.P, spec=self.SPEC, dt=dt, T=0.5,
+                        snapshot_stride=10**6)
+        return simulate(ens, cfg).snapshots[-1]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        ens = build_initial_ensemble(
+            {"n": 32, "dim": 2, "distribution": "on_sphere", "seed": 3}, self.P)
+        sphere = project_measure(ens, self.P.r)
+        return ens, sphere, self.final(sphere, 1.25e-4)
+
+    def orders(self, start, ref):
+        errs = [w1_exact(self.final(start, dt), ref).value for dt in self.DTS]
+        return [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+
+    def test_limit_step_first_order(self, runs):
+        _, sphere, ref = runs
+        for q in self.orders(sphere, ref):
+            assert 0.8 <= q <= 1.4
+
+    def test_strang_converges_to_limit_as_eps_vanishes(self, runs):
+        # asymptotic preservation: at eps = 1e-9 the splitting tracks the
+        # limit dynamics, at first order (Strang's second order is lost)
+        ens, _, ref = runs
+        for q in self.orders(ens, ref):
+            assert 0.8 <= q <= 1.4

@@ -14,9 +14,8 @@ from swarmlab import (
 )
 from swarmlab.errors import BadKernelParams, ValidationError
 from swarmlab.core import ModelParams, project_measure
-from swarmlab.eps_dynamics import EpsRunConfig, simulate
+from swarmlab.eps_dynamics import SimConfig, simulate
 from swarmlab.kernels import PairOperator, interaction_energy, validate_kernel
-from swarmlab.sphere_dynamics import SphereRunConfig, simulate_limit
 
 from conftest import make_phase
 
@@ -215,13 +214,13 @@ class TestPairOperator:
         p = ModelParams(1.0, 1.0, 0.05)
         k_steps = 5
         simulate(make_phase(16, seed=9),
-                 EpsRunConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
-                              T=k_steps * 1e-2, snapshot_stride=2))
+                 SimConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
+                           T=k_steps * 1e-2, snapshot_stride=2))
         assert len(builds) == k_steps + 1
         builds.clear()
-        simulate_limit(project_measure(make_phase(16, seed=9), p.r),
-                       SphereRunConfig(params=p, spec=ORACLE_SPECS["composed"],
-                                       dt=1e-2, T=k_steps * 1e-2, diffusion=True))
+        simulate(project_measure(make_phase(16, seed=9), p.r),
+                 SimConfig(params=p, spec=ORACLE_SPECS["composed"],
+                           dt=1e-2, T=k_steps * 1e-2, diffusion=True))
         assert len(builds) == k_steps
 
     def test_rebuild_matches_fresh_build(self):

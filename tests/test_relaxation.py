@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+import swarmlab
 from swarmlab import (
     ModelParams,
     adjoint_potential,
@@ -250,6 +255,17 @@ class TestAdjointPotential:
         if r3 < u < r4:
             return ang * cls._bump((u - r3) / (r4 - r3))
         return 0.0
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # adjoint_potential imports quad on first use, so `import swarmlab`
+        # does not pay scipy.integrate's load time
+        src = str(Path(swarmlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, swarmlab; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "False"
 
     def test_zero_below_inner_annulus(self):
         for u in (0.05, 0.2, 0.3):

@@ -11,18 +11,17 @@ from swarmlab import (
     SphereEnsemble,
     builtin_kernels,
     laplace_beltrami_via_extension,
-    simulate_limit,
+    simulate,
     spherical_coords_3d,
     spherical_divergence_3d,
     spherical_laplacian_3d,
-    step_limit,
-    step_limit_diffusive,
+    step,
     tangential_projection,
     zero_hom_laplacian_formula,
 )
-from swarmlab.errors import PoleSingularity, ZeroVelocity
+from swarmlab.eps_dynamics import SimConfig
+from swarmlab.errors import PoleSingularity, ZeroVelocityParticle
 from swarmlab.sphere_dynamics import (
-    SphereRunConfig,
     sphere_point_3d,
     tangent_frame_3d,
 )
@@ -69,17 +68,17 @@ class TestTangentialProjection:
 class TestStepLimit:
     def test_zero_field_straight_lines(self):
         ens = make_sphere(8, d=2, r=1.5, seed=2)
-        cfg = SphereRunConfig(params=ModelParams(2.25, 1.0, 1.0), spec=ZERO,
-                              dt=0.01, T=0.01)
-        out = step_limit(ens, cfg)
+        cfg = SimConfig(params=ModelParams(2.25, 1.0, 1.0), spec=ZERO,
+                        dt=0.01, T=0.01)
+        out = step(ens, cfg)
         assert_allclose(out.omega, ens.omega, rtol=0, atol=0)
         assert_allclose(out.x, ens.x + 0.01 * ens.omega, rtol=0, atol=0)
 
     def test_speed_conservation(self):
         ens = make_sphere(64, d=3, r=1.2, seed=3)
-        cfg = SphereRunConfig(params=ModelParams(1.44, 1.0, 1.0), spec=CONST,
-                              dt=0.01, T=1.0, snapshot_stride=10)
-        traj = simulate_limit(ens, cfg)
+        cfg = SimConfig(params=ModelParams(1.44, 1.0, 1.0), spec=CONST,
+                        dt=0.01, T=1.0, snapshot_stride=10)
+        traj = simulate(ens, cfg)
         for snap in traj.snapshots:
             assert np.max(np.abs(snap.speeds() - 1.2)) <= 1e-14 * 1.2
 
@@ -91,9 +90,9 @@ class TestStepLimit:
         omega = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         ens = SphereEnsemble(x=rng.normal(size=(n, 2)), omega=omega,
                              w=np.full(n, 1.0 / n), r=1.0)
-        cfg = SphereRunConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                              dt=0.01, T=20.0, snapshot_stride=100)
-        traj = simulate_limit(ens, cfg)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
+                        dt=0.01, T=20.0, snapshot_stride=100)
+        traj = simulate(ens, cfg)
         cv = [1.0 - np.linalg.norm(np.sum(s.w[:, None] * s.omega, axis=0))
               for s in traj.snapshots]
         assert all(b <= a + 1e-12 for a, b in zip(cv, cv[1:]))
@@ -101,9 +100,9 @@ class TestStepLimit:
 
     def test_pair_spread_nonincreasing(self):
         ens = make_sphere(32, d=2, r=1.0, seed=4)
-        cfg = SphereRunConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                              dt=0.01, T=2.0, snapshot_stride=10)
-        traj = simulate_limit(ens, cfg)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
+                        dt=0.01, T=2.0, snapshot_stride=10)
+        traj = simulate(ens, cfg)
         spread = [
             float(np.sum(s.w[:, None] * s.w[None, :]
                          * np.sum((s.omega[:, None, :] - s.omega[None, :, :]) ** 2,
@@ -118,12 +117,12 @@ class TestStepLimitDiffusive:
         ens = make_sphere(16, d=3, r=1.0, seed=5)
         monkeypatch.setattr(noise, "gaussian_increments",
                             lambda seed, dom, k, shape: np.zeros(shape))
-        cfg_d = SphereRunConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                                dt=0.01, T=0.01, diffusion=True)
-        cfg = SphereRunConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                              dt=0.01, T=0.01)
-        a = step_limit_diffusive(ens, cfg_d)
-        b = step_limit(ens, cfg)
+        cfg_d = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
+                          dt=0.01, T=0.01, diffusion=True)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
+                        dt=0.01, T=0.01)
+        a = step(ens, cfg_d)
+        b = step(ens, cfg)
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.x, b.x)
 
@@ -133,10 +132,10 @@ class TestStepLimitDiffusive:
         n = 10000
         ens = SphereEnsemble(x=np.zeros((n, 3)), omega=np.tile([0, 0, r], (n, 1)),
                              w=np.full(n, 1.0 / n), r=r)
-        cfg = SphereRunConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
-                              dt=2e-3, T=5.0, snapshot_stride=2500,
-                              diffusion=True, rng_seed=21)
-        traj = simulate_limit(ens, cfg)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
+                        dt=2e-3, T=5.0, snapshot_stride=2500,
+                        diffusion=True, rng_seed=21)
+        traj = simulate(ens, cfg)
         first_moment = np.linalg.norm(
             np.sum(traj.snapshots[-1].w[:, None] * traj.snapshots[-1].omega, axis=0))
         assert first_moment <= 0.05 * r
@@ -147,10 +146,10 @@ class TestStepLimitDiffusive:
         n = 8000
         ens = SphereEnsemble(x=np.zeros((n, 3)), omega=np.tile([0, 0, r], (n, 1)),
                              w=np.full(n, 1.0 / n), r=r)
-        cfg = SphereRunConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
-                              dt=2e-3, T=1.0, snapshot_stride=50,
-                              diffusion=True, rng_seed=7)
-        traj = simulate_limit(ens, cfg)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
+                        dt=2e-3, T=1.0, snapshot_stride=50,
+                        diffusion=True, rng_seed=7)
+        traj = simulate(ens, cfg)
         ts = np.array(traj.times)
         m3 = np.array([float(np.sum(s.w * s.omega[:, 2])) for s in traj.snapshots])
         mask = m3 > 0.1 * r
@@ -180,7 +179,7 @@ class TestLaplaceBeltrami:
             assert got == pytest.approx(-2.0 * om[2] / r**2, rel=1e-4)
 
     def test_zero_velocity_rejected(self):
-        with pytest.raises(ZeroVelocity):
+        with pytest.raises(ZeroVelocityParticle):
             zero_hom_laplacian_formula(lambda y: y[0], np.zeros(3), 1.0)
 
     def test_formula_matches_extension_on_sphere(self):

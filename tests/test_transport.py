@@ -12,13 +12,11 @@ from swarmlab import (
     convergence_study,
     equicontinuity_probe,
     simulate,
-    simulate_limit,
     w1_exact,
     w1_subsampled,
 )
-from swarmlab.eps_dynamics import EpsRunConfig
+from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import DimensionMismatch, TooLarge, ValidationError
-from swarmlab.sphere_dynamics import SphereRunConfig
 from swarmlab.transport import ConvergenceTable
 
 from conftest import make_phase, make_sphere
@@ -139,8 +137,8 @@ class TestConvergenceStudy:
         params = ModelParams(1.0, 1.0, 0.1)
         ens = make_sphere(16, d=2, r=1.0, seed=11)
         f_in = PhaseEnsemble(x=ens.x, v=ens.omega, w=ens.w)
-        cfg = EpsRunConfig(params=params, spec=CS, dt=1e-2, T=0.2,
-                           snapshot_stride=10, rng_seed=1)
+        cfg = SimConfig(params=params, spec=CS, dt=1e-2, T=0.2,
+                        snapshot_stride=10, rng_seed=1)
         table = convergence_study(f_in, [0.1, 0.05], [0.0, 0.2], cfg)
         # shared atoms at t = 0; the sphere projection of on-sphere data moves
         # each atom by at most one rounding, so "zero" means machine-level
@@ -153,7 +151,7 @@ class TestConvergenceStudy:
     def test_eps_order_enforced(self):
         params = ModelParams(1.0, 1.0, 0.1)
         f_in = make_phase(8, seed=12)
-        cfg = EpsRunConfig(params=params, spec=CS, dt=1e-2, T=0.1, rng_seed=1)
+        cfg = SimConfig(params=params, spec=CS, dt=1e-2, T=0.1, rng_seed=1)
         with pytest.raises(ValidationError):
             convergence_study(f_in, [0.05, 0.1], [0.1], cfg)
 
@@ -171,9 +169,9 @@ class TestEquicontinuityProbe:
         r = 1.5
         params = ModelParams(2.25, 1.0, 1.0)
         ens = make_sphere(12, d=2, r=r, seed=13, box=4.0)
-        cfg = SphereRunConfig(params=params, spec=ZERO, dt=1e-2, T=0.2,
-                              snapshot_stride=5)
-        traj = simulate_limit(ens, cfg)
+        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.2,
+                        snapshot_stride=5)
+        traj = simulate(ens, cfg)
         for (t, s) in [(0.0, 0.05), (0.05, 0.15), (0.0, 0.1)]:
             rep = w1_exact(traj.snapshot_at(t), traj.snapshot_at(s))
             assert rep.value == pytest.approx(r * abs(t - s), rel=1e-9)
@@ -181,8 +179,8 @@ class TestEquicontinuityProbe:
     def test_identical_times_rejected(self):
         params = ModelParams(1.0, 1.0, 0.1)
         traj = simulate(make_phase(6, seed=14),
-                        EpsRunConfig(params=params, spec=ZERO, dt=1e-2, T=0.1,
-                                     snapshot_stride=5))
+                        SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1,
+                                  snapshot_stride=5))
         with pytest.raises(ValidationError):
             equicontinuity_probe(traj, [(0.0, 0.0)])
 
@@ -190,8 +188,8 @@ class TestEquicontinuityProbe:
         params = ModelParams(1.0, 1.0, 0.05)
         sph = make_sphere(32, d=2, r=1.0, seed=15)
         f_in = PhaseEnsemble(x=sph.x, v=sph.omega, w=sph.w)
-        cfg = EpsRunConfig(params=params, spec=CS, dt=1e-3, T=0.5,
-                           snapshot_stride=100)
+        cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=0.5,
+                        snapshot_stride=100)
         traj = simulate(f_in, cfg)
         times = traj.times
         pairs = [(a, b) for a, b in itertools.combinations(times, 2)]
