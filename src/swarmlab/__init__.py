@@ -36,9 +36,7 @@ from .relaxation import (
     trapping_time_bounds,
 )
 from .sphere_dynamics import (
-    TangentField,
     laplace_beltrami_via_extension,
-    projected_field,
     spherical_coords_3d,
     spherical_divergence_3d,
     spherical_laplacian_3d,

@@ -145,8 +145,9 @@ def _validate(cfg: RunConfig):
     dt = cfg.integrator["dt"]
     if not (isinstance(dt, (int, float)) and dt > 0):
         raise ValidationError(f"integrator.dt must be positive, got {dt}")
-    if cfg.integrator["scheme"] not in ("strang", "lie"):
-        raise ValidationError(f"unknown scheme {cfg.integrator['scheme']!r}")
+    if cfg.integrator["scheme"] != "strang":
+        raise ValidationError(
+            f"integrator.scheme must be 'strang', got {cfg.integrator['scheme']!r}")
     if int(cfg.integrator["stride"]) < 1:
         raise ValidationError("integrator.stride must be >= 1")
 
@@ -180,8 +181,6 @@ def _init_ensemble_checks(cfg: RunConfig):
         r0, big_r0 = init.get("r0"), init.get("R0")
         if r0 is None or big_r0 is None:
             raise ValidationError("annulus init needs init.r0 and init.R0")
-        if not r0 < params.r:
-            raise ValidationError(f"r0 < r required, got r0={r0}, r={params.r}")
         if not (0 < r0 < params.r < big_r0):
             raise ValidationError(
                 f"need 0 < r0 < r < R0, got r0={r0}, r={params.r}, R0={big_r0}"
@@ -299,7 +298,6 @@ def _run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> SimConfig:
         T=float(horizon if horizon is not None else integ.get("T", 1.0)),
         snapshot_stride=int(integ["stride"]),
         diffusion=bool(integ["diffusion"]), rng_seed=seed,
-        scheme=integ["scheme"],
     )
 
 

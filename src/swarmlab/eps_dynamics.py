@@ -3,7 +3,7 @@
 The velocity equation dv/dt = a + (1/eps)(alpha - beta|v|^2) v is split so
 that the stiff term never has to be resolved by the time step: the relaxation
 substep applies the closed-form flow at rescaled time s = t/eps, which is
-exact for any eps. The default composition is Strang,
+exact for any eps. The composition is Strang,
 
     R(dt/2) . K(dt/2) . D(dt) . K(dt/2) . R(dt/2)
 
@@ -11,7 +11,7 @@ with D the free transport of positions and K the interaction kick. The kick
 field is re-evaluated at the substep midpoint (positions frozen): a plain
 frozen-field Euler kick leaves an O(dt^2) defect per step from the velocity
 dependence of the alignment force, which would drop the whole composition to
-first order. Lie splitting is kept as a first-order cross-check.
+first order.
 
 Both kicks of a step, and the first kick of the next, see frozen positions,
 so the pair sums are built once per position state (kernels.PairOperator):
@@ -29,7 +29,7 @@ splitting step above, a SphereEnsemble the fixed-speed limit step of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .sphere_dynamics import advance_limit
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters of either regime. The limit step ignores `params.eps`
-    and `scheme`."""
+    """Run parameters of either regime. The limit step ignores `params.eps`."""
 
     params: ModelParams
     spec: KernelSpec
@@ -53,7 +52,6 @@ class SimConfig:
     snapshot_stride: int = 100
     diffusion: bool = False
     rng_seed: int = 0
-    scheme: str = "strang"
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -62,8 +60,6 @@ class SimConfig:
             raise ValidationError(f"horizon T={self.T} shorter than one step dt={self.dt}")
         if self.snapshot_stride < 1:
             raise ValidationError(f"snapshot stride must be >= 1, got {self.snapshot_stride}")
-        if self.scheme not in ("strang", "lie"):
-            raise ValidationError(f"scheme must be 'strang' or 'lie', got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -113,47 +109,37 @@ def _kick(op, v, tau, shot=None):
 
 def _stepper(ens, cfg: SimConfig):
     """The step function of the regime `ens` lives in, and the pair operator a
-    run from `ens` starts with. Strang builds at ens.x, since its first kick
-    precedes the drift; Lie and the limit step build on their own."""
+    run from `ens` starts with. The eps step's operator is built at ens.x,
+    since its first kick precedes the drift; the limit step builds its own."""
     op = PairOperator(ens.w, cfg.spec)
     if isinstance(ens, SphereEnsemble):
         return advance_limit, op
-    return _advance, (op.build(ens.x) if cfg.scheme == "strang" else op)
+    return _advance, op.build(ens.x)
 
 
 def _advance(ens: PhaseEnsemble, cfg: SimConfig, step_index: int,
-             op: PairOperator) -> PhaseEnsemble:
-    """One step; `op` comes from `_stepper` or the previous step, and is left
-    built at the new positions."""
+             op: PairOperator, time: float) -> PhaseEnsemble:
+    """One Strang step to the new time `time`; `op` comes from `_stepper` or
+    the previous step, and is left built at the new positions."""
     dt = cfg.dt
     p = cfg.params
-    x, v, w = ens.x, ens.v, ens.w
     shots = (None, None)
     if cfg.diffusion:
-        raw = noise.gaussian_increments(cfg.rng_seed, noise.EPS_DYNAMICS,
-                                        step_index, (2,) + v.shape)
-        if cfg.scheme == "strang":
-            shots = (math.sqrt(dt) * raw[0], math.sqrt(dt) * raw[1])
-        else:
-            shots = (math.sqrt(2.0 * dt) * raw[0], None)
-    if cfg.scheme == "strang":
-        half_s = dt / (2.0 * p.eps)
-        v = free_flow(v, half_s, p)
-        v = _kick(op, v, 0.5 * dt, shots[0])
-        x = x + dt * v
-        v = _kick(op.build(x), v, 0.5 * dt, shots[1])
-        v = free_flow(v, half_s, p)
-    else:
-        x = x + dt * v
-        v = _kick(op.build(x), v, dt, shots[0])
-        v = free_flow(v, dt / p.eps, p)
-    return PhaseEnsemble(x=x, v=v, w=w, time=ens.time + dt)
+        shots = math.sqrt(dt) * noise.gaussian_increments(
+            cfg.rng_seed, noise.EPS_DYNAMICS, step_index, (2,) + ens.v.shape)
+    half_s = dt / (2.0 * p.eps)
+    v = free_flow(ens.v, half_s, p)
+    v = _kick(op, v, 0.5 * dt, shots[0])
+    x = ens.x + dt * v
+    v = _kick(op.build(x), v, 0.5 * dt, shots[1])
+    v = free_flow(v, half_s, p)
+    return PhaseEnsemble(x=x, v=v, w=ens.w, time=time)
 
 
 def step(ens, cfg: SimConfig, step_index: int = 0):
     """One step of the regime `ens` lives in, with noise iff cfg.diffusion."""
     advance, op = _stepper(ens, cfg)
-    return advance(ens, cfg, step_index, op)
+    return advance(ens, cfg, step_index, op, ens.time + cfg.dt)
 
 
 def simulate(f_in, cfg: SimConfig) -> Trajectory:
@@ -168,8 +154,7 @@ def simulate(f_in, cfg: SimConfig) -> Trajectory:
     ens = f_in
     advance, op = _stepper(f_in, cfg)
     for k in range(n_steps):
-        ens = advance(ens, cfg, k, op)
-        ens = replace(ens, time=f_in.time + (k + 1) * cfg.dt)
+        ens = advance(ens, cfg, k, op, f_in.time + (k + 1) * cfg.dt)
         if (k + 1) % cfg.snapshot_stride == 0 or (k + 1) == n_steps:
             times.append(ens.time)
             snaps.append(ens)

@@ -293,14 +293,9 @@ def acceleration(ens, spec: KernelSpec) -> FieldSample:
     matrix products; their bytes do not depend on the BLAS thread count
     (checked by the suite at 1 and 2 OpenBLAS threads).
     """
-    a = acceleration_arrays(ens.x, velocities(ens), ens.w, spec)
+    a = PairOperator(ens.w, spec).build(ens.x).field(velocities(ens))
     sup = float(np.max(np.sqrt(np.sum(a * a, axis=1)))) if a.size else 0.0
     return FieldSample(a=a, sup_norm=sup)
-
-
-def acceleration_arrays(x, v, w, spec: KernelSpec) -> np.ndarray:
-    """Array-level pairwise field: one pair build, then one apply."""
-    return PairOperator(w, spec).build(x).field(np.asarray(v, dtype=float))
 
 
 def interaction_energy(ens, spec: KernelSpec) -> float:

@@ -20,44 +20,15 @@ itself runs in Cartesian components and never touches a chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise
 from .core import SphereEnsemble
 from .errors import PoleSingularity, ValidationError, ZeroVelocityParticle
-from .kernels import KernelSpec, PairOperator, acceleration_arrays
+from .kernels import PairOperator
 
 POLE_BAND = 1e-10  # excluded |sin(theta)| margin for chart-based operations
-
-
-@dataclass(frozen=True)
-class TangentField:
-    """Per-particle tangent vectors xi_i with omega_i . xi_i = 0 (to 1e-12 r)."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.xi, dtype=float, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "xi", arr)
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.sqrt(np.sum(self.xi * self.xi, axis=1))))
-
-
-def projected_field(ens: SphereEnsemble, spec: KernelSpec) -> TangentField:
-    """Tangential part of the interaction field on a sphere ensemble, with the
-    tangency tolerance checked at construction."""
-    a = acceleration_arrays(ens.x, ens.omega, ens.w, spec)
-    xi = tangential_projection(a, ens.omega)
-    dots = np.abs(np.sum(xi * ens.omega, axis=1))
-    norms = np.sqrt(np.sum(xi * xi, axis=1))
-    if np.any(dots > 1e-12 * ens.r * np.maximum(norms, 1e-300)):
-        raise ValidationError("projected field lost tangency beyond tolerance")
-    return TangentField(xi=xi)
 
 
 def tangential_projection(a, omega):
@@ -88,12 +59,12 @@ def _renormalize(u, omega, r):
 
 
 def advance_limit(ens: SphereEnsemble, cfg, step_index: int,
-                  op: PairOperator) -> SphereEnsemble:
-    """One limit step: transport by omega, then rotate omega by the projected
-    field, plus, iff cfg.diffusion, a projected sqrt(2)-Gaussian increment
-    (projected Euler-Maruyama: weak order 1 for drift plus intrinsic sphere
-    diffusion). `op` is rebuilt at ens.x; `cfg.params.eps` and `cfg.scheme`
-    play no role here."""
+                  op: PairOperator, time: float) -> SphereEnsemble:
+    """One limit step to the new time `time`: transport by omega, then rotate
+    omega by the projected field, plus, iff cfg.diffusion, a projected
+    sqrt(2)-Gaussian increment (projected Euler-Maruyama: weak order 1 for
+    drift plus intrinsic sphere diffusion). `op` is rebuilt at ens.x;
+    `cfg.params.eps` plays no role here."""
     a = op.build(ens.x).field(ens.omega)
     xi = tangential_projection(a, ens.omega)
     x = ens.x + cfg.dt * ens.omega
@@ -105,7 +76,7 @@ def advance_limit(ens: SphereEnsemble, cfg, step_index: int,
                                          step_index, ens.omega.shape)
         u = u + math.sqrt(2.0 * cfg.dt) * tangential_projection(shot, ens.omega)
     omega = _renormalize(u, ens.omega, ens.r)
-    return SphereEnsemble(x=x, omega=omega, w=ens.w, r=ens.r, time=ens.time + cfg.dt)
+    return SphereEnsemble(x=x, omega=omega, w=ens.w, r=ens.r, time=time)
 
 
 # ---------------------------------------------------------------------------

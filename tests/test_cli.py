@@ -40,6 +40,25 @@ class TestParseConfig:
         assert cfg.integrator["stride"] == 100
         assert cfg.integrator["scheme"] == "strang"
 
+    def test_explicit_strang_parses(self):
+        doc = {**MINIMAL_EPS, "integrator": {**MINIMAL_EPS["integrator"], "scheme": "strang"}}
+        assert parse_config(json.dumps(doc)).integrator["scheme"] == "strang"
+
+    @pytest.mark.parametrize("scheme", ["lie", "verlet"])
+    def test_other_schemes_rejected(self, scheme, tmp_path):
+        doc = {**MINIMAL_EPS, "integrator": {**MINIMAL_EPS["integrator"], "scheme": scheme}}
+        with pytest.raises(ValidationError, match="scheme"):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate-eps", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path):
+        assert parse_config(path.read_text()).mode == json.loads(path.read_text())["mode"]
+
     def test_band_ordering_validated(self):
         doc = {
             "mode": "simulate-eps",

@@ -43,8 +43,6 @@ class TestConfig:
             SimConfig(params=p, spec=ZERO, dt=1e-3, T=1e-4)
         with pytest.raises(ValidationError):
             SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, snapshot_stride=0)
-        with pytest.raises(ValidationError):
-            SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, scheme="verlet")
 
 
 class TestStep:
@@ -57,12 +55,11 @@ class TestStep:
         assert_allclose(out.v, [[2.0, 0.0]], rtol=0, atol=0)
         assert_allclose(out.x, [[0.02, 0.0]], rtol=0, atol=1e-18)
 
-    @pytest.mark.parametrize("scheme", ["strang", "lie"])
-    def test_zero_field_speed_matches_closed_form(self, scheme):
+    def test_zero_field_speed_matches_closed_form(self):
         p = ModelParams(1.0, 1.0, 0.05)
         ens = PhaseEnsemble(x=[[0.0, 0.0]], v=[[0.5, 0.0]], w=[1.0])
         dt, T = 1e-3, 0.4
-        cfg = cfgf(p, ZERO, dt=dt, T=T, scheme=scheme)
+        cfg = cfgf(p, ZERO, dt=dt, T=T)
         traj = simulate(ens, cfg)
         got = traj.snapshots[-1].v[0]
         expect = free_flow(np.array([0.5, 0.0]), T / p.eps, p)
@@ -100,17 +97,6 @@ class TestStep:
             assert gap <= 1.5 * c2 * dt**2
         assert gaps[0] / gaps[1] >= 3.0
         assert gaps[1] / gaps[2] >= 3.0
-
-    def test_lie_first_order_cross_check(self):
-        p = ModelParams(1.0, 1.0, 0.05)
-        ens0 = make_phase(2, seed=1)
-        ref = simulate(ens0, cfgf(p, CS, dt=2.5e-4, T=0.2, scheme="strang"))
-        gaps = [
-            w1_exact(simulate(ens0, cfgf(p, CS, dt=dt, T=0.2, scheme="lie")).snapshots[-1],
-                     ref.snapshots[-1]).value
-            for dt in (1e-2, 5e-3)
-        ]
-        assert gaps[1] < gaps[0]  # converges, slower than strang
 
     def test_alignment_half_kick_dissipates_kinetic_energy(self):
         # discrete energy change tracks the dissipation identity to O(dt^2)

@@ -55,15 +55,6 @@ class TestTangentialProjection:
         norms = np.linalg.norm(xi, axis=1)
         assert np.all(dots <= 1e-12 * 1.3 * np.maximum(norms, 1e-300))
 
-    def test_projected_field_validates(self):
-        from swarmlab.sphere_dynamics import projected_field
-        ens = make_sphere(20, d=3, r=1.3, seed=2)
-        tf = projected_field(ens, CONST)
-        assert tf.xi.shape == (20, 3)
-        assert tf.sup_norm >= 0
-        with np.testing.assert_raises(ValueError):
-            tf.xi[0, 0] = 1.0
-
 
 class TestStepLimit:
     def test_zero_field_straight_lines(self):

@@ -56,6 +56,17 @@ class TestW1Exact:
         est, se = w1_subsampled(a, b, n_sub=128, n_rep=4, seed=0)
         assert est > 0 and np.isfinite(se)
 
+    def test_lp_cap_raises_before_building_cost(self, monkeypatch):
+        # 400 + 800 atoms pass the combined cap, but the 320k-entry LP does not
+        import swarmlab.transport as transport
+
+        def no_cost(*args, **kwargs):
+            raise AssertionError("cost matrix built past the LP cap")
+
+        monkeypatch.setattr(transport, "cdist", no_cost)
+        with pytest.raises(TooLarge, match="w1_subsampled"):
+            w1_exact(make_phase(400, seed=2), make_phase(800, seed=3))
+
     def test_plan_marginals_and_value(self, rng):
         a = make_phase(9, seed=4, weights=rng.dirichlet(np.ones(9)))
         b = make_phase(7, seed=5, weights=rng.dirichlet(np.ones(7)))
