@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     PhaseEnsemble,
     SphereEnsemble,
     config_hash,
+    csv_text,
     ensemble_from_csv,
     ensemble_from_json,
     ensemble_to_csv,
@@ -53,6 +54,7 @@ from .transport import convergence_study, w1_exact
 MODES = ("simulate-eps", "simulate-limit", "compare", "sweep", "roots", "flow", "project")
 
 INTEGRATOR_DEFAULTS = {"dt": 1e-3, "stride": 100, "scheme": "strang", "diffusion": False}
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,9 @@ class RunManifest:
     files: tuple
 
 
+SECTIONS = tuple(f.name for f in fields(RunConfig) if f.name != "mode")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration document."""
     try:
@@ -90,26 +95,18 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
-    known = {"mode", "model", "kernels", "init", "integrator", "sweep",
-             "roots", "flow", "compare", "output"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {"mode", *SECTIONS}
     if unknown:
         raise ParseError(f"unknown config sections: {sorted(unknown)}")
     mode = doc.get("mode")
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg = RunConfig(
-        mode=mode,
-        model=dict(doc.get("model", {})),
-        kernels=dict(doc.get("kernels", {})),
-        init=dict(doc.get("init", {})),
-        integrator={**INTEGRATOR_DEFAULTS, **doc.get("integrator", {})},
-        sweep=dict(doc.get("sweep", {})),
-        roots=dict(doc.get("roots", {})),
-        flow=dict(doc.get("flow", {})),
-        compare=dict(doc.get("compare", {})),
-        output=dict(doc.get("output", {})),
-    )
+    sections = {name: doc.get(name, {}) for name in SECTIONS}
+    not_objects = [name for name, sec in sections.items() if not isinstance(sec, dict)]
+    if not_objects:
+        raise ValidationError(f"config sections must be JSON objects: {not_objects}")
+    sections["integrator"] = {**INTEGRATOR_DEFAULTS, **sections["integrator"]}
+    cfg = RunConfig(mode=mode, **sections)
     _validate(cfg)
     return cfg
 
@@ -118,7 +115,38 @@ def serialize_config(cfg: RunConfig) -> str:
     return json.dumps(cfg.as_dict(), sort_keys=True, indent=1)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# (what a value must be, its test, the config values it applies to where given)
+_VALUE_KINDS = (
+    ("a number", _is_number,
+     "model.alpha model.beta model.eps init.L0 init.r0 init.R0 integrator.T roots.A"),
+    ("a positive number", lambda v: _is_number(v) and v > 0, "integrator.dt"),
+    ("a nonnegative integer", lambda v: isinstance(v, int) and not isinstance(v, bool)
+     and v >= 0, "init.dim init.seed"),
+    ("a positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
+     "init.n integrator.stride"),
+    ("a boolean", lambda v: isinstance(v, bool), "integrator.diffusion"),
+    ("a string", lambda v: isinstance(v, str),
+     "init.input compare.file_a compare.file_b output.directory"),
+    ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+     "sweep.eps_list sweep.t_grid roots.eps_list flow.v0_list flow.s_list"),
+    ("an object of numbers",
+     lambda v: isinstance(v, dict) and all(map(_is_number, v.values())), "kernels.params"),
+    (f"a list drawn from {FORMATS}",
+     lambda v: isinstance(v, list) and all(f in FORMATS for f in v), "output.formats"),
+)
+
+
 def _validate(cfg: RunConfig):
+    for kind, ok, names in _VALUE_KINDS:
+        for section, key in (name.split(".") for name in names.split()):
+            values = getattr(cfg, section)
+            if key in values and not ok(values[key]):
+                raise ValidationError(f"{section}.{key} must be {kind}, got {values[key]!r}")
     mode = cfg.mode
     if mode in ("simulate-eps", "simulate-limit", "sweep", "project"):
         _model_params(cfg, need_eps=(mode == "simulate-eps"))
@@ -142,14 +170,9 @@ def _validate(cfg: RunConfig):
     if mode == "compare":
         if not (cfg.compare.get("file_a") and cfg.compare.get("file_b")):
             raise ValidationError("compare mode needs compare.file_a and compare.file_b")
-    dt = cfg.integrator["dt"]
-    if not (isinstance(dt, (int, float)) and dt > 0):
-        raise ValidationError(f"integrator.dt must be positive, got {dt}")
     if cfg.integrator["scheme"] != "strang":
         raise ValidationError(
             f"integrator.scheme must be 'strang', got {cfg.integrator['scheme']!r}")
-    if int(cfg.integrator["stride"]) < 1:
-        raise ValidationError("integrator.stride must be >= 1")
 
 
 def _model_params(cfg: RunConfig, need_eps: bool) -> ModelParams:
@@ -171,8 +194,8 @@ def _kernel_spec(cfg: RunConfig):
 
 def _init_ensemble_checks(cfg: RunConfig):
     init = cfg.init
-    if "n" not in init or int(init["n"]) < 1:
-        raise ValidationError("init.n (particle count) is required and positive")
+    if "n" not in init:
+        raise ValidationError("init.n (particle count) is required")
     dist = init.get("distribution", "uniform_annulus")
     if dist not in ("uniform_annulus", "on_sphere", "two_clusters"):
         raise ValidationError(f"unknown init.distribution {dist!r}")
@@ -233,58 +256,28 @@ def build_initial_ensemble(init: dict, params: ModelParams) -> PhaseEnsemble:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _write(path: Path, text: str, files: list):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    files.append(str(path))
-
-
-def _sphere_snapshot_csv(ens: SphereEnsemble) -> str:
-    """Sphere snapshots gain chart angles when d = 3."""
-    base = ensemble_to_csv(ens)
-    if ens.dim != 3:
-        return base
-    lines = base.splitlines()
-    out = [lines[0] + ",theta,phi"]
-    for i, line in enumerate(lines[1:]):
-        theta, phi = spherical_coords_3d(ens.omega[i], ens.r)
-        out.append(f"{line},{theta!r},{phi!r}")
-    return "\n".join(out) + "\n"
+def _snapshot_csv(ens) -> str:
+    """Snapshot table; a d = 3 sphere snapshot gains its chart angles."""
+    if isinstance(ens, SphereEnsemble) and ens.dim == 3:
+        theta, phi = spherical_coords_3d(ens.omega, ens.r)
+        return ensemble_to_csv(ens, theta=theta, phi=phi)
+    return ensemble_to_csv(ens)
 
 
 def _moments_csv(traj) -> str:
     d = traj.snapshots[0].dim
     cols = ["t", "mass"] + [f"momentum_{k+1}" for k in range(d)] + \
         ["kinetic", "total_energy", "speed_min", "speed_max"]
-    lines = [",".join(cols)]
-    for t, rep, energy in zip(traj.times, traj.moment_reports, traj.energies):
-        row = [repr(float(t)), repr(rep.mass)]
-        row += [repr(float(c)) for c in rep.momentum]
-        row += [repr(rep.kinetic_energy), repr(energy), repr(rep.speed_min),
-                repr(rep.speed_max)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _emit_trajectory(traj, outdir: Path, formats, files: list):
-    sphere = isinstance(traj.snapshots[0], SphereEnsemble)
-    prefix = "snap_limit" if sphere else "snap_eps"
-    for k, snap in enumerate(traj.snapshots):
-        if "csv" in formats:
-            text = _sphere_snapshot_csv(snap) if sphere else ensemble_to_csv(snap)
-            _write(outdir / f"{prefix}_{k:05d}.csv", text, files)
-        if "json" in formats:
-            _write(outdir / f"{prefix}_{k:05d}.json", ensemble_to_json(snap), files)
-    _write(outdir / "moments.csv", _moments_csv(traj), files)
+    rows = ([float(t), rep.mass, *rep.momentum.tolist(), rep.kinetic_energy, energy,
+             rep.speed_min, rep.speed_max]
+            for t, rep, energy in zip(traj.times, traj.moment_reports, traj.energies))
+    return csv_text(cols, rows)
 
 
 def load_snapshot(path: str):
     """Read a snapshot file (JSON preferred; CSV yields a PhaseEnsemble)."""
-    p = Path(path)
-    text = p.read_text()
-    if p.suffix == ".json":
-        return ensemble_from_json(text)
-    return ensemble_from_csv(text)
+    text = Path(path).read_text()
+    return ensemble_from_json(text) if Path(path).suffix == ".json" else ensemble_from_csv(text)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +294,7 @@ def _run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> SimConfig:
     )
 
 
-def _mode_simulate(cfg, outdir, seed, formats, files):
+def _mode_simulate(cfg, seed, formats):
     """simulate-eps runs the sampled ensemble, simulate-limit its projection
     onto the speed sphere; `simulate` picks the step from the ensemble type."""
     limit = cfg.mode == "simulate-limit"
@@ -311,30 +304,34 @@ def _mode_simulate(cfg, outdir, seed, formats, files):
     if limit:
         ens = project_measure(ens, params.r)
     traj = simulate(ens, _run_config(cfg, params, spec, seed))
-    _emit_trajectory(traj, outdir, formats, files)
+    prefix = "snap_limit" if limit else "snap_eps"
+    for k, snap in enumerate(traj.snapshots):
+        if "csv" in formats:
+            yield f"{prefix}_{k:05d}.csv", _snapshot_csv(snap)
+        if "json" in formats:
+            yield f"{prefix}_{k:05d}.json", ensemble_to_json(snap)
+    yield "moments.csv", _moments_csv(traj)
 
 
-def _mode_project(cfg, outdir, seed, formats, files):
+def _mode_project(cfg, seed, formats):
     params = _model_params(cfg, need_eps=False)
     source = cfg.init.get("input")
-    if source:
-        ens = load_snapshot(source)
-    else:
-        ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
+    ens = (load_snapshot(source) if source
+           else build_initial_ensemble({**cfg.init, "seed": seed}, params))
     sphere = project_measure(ens, params.r)
     if "csv" in formats:
-        _write(outdir / "source.csv", ensemble_to_csv(ens), files)
-        _write(outdir / "projected.csv", _sphere_snapshot_csv(sphere), files)
+        yield "source.csv", _snapshot_csv(ens)
+        yield "projected.csv", _snapshot_csv(sphere)
     if "json" in formats:
-        _write(outdir / "source.json", ensemble_to_json(ens), files)
-        _write(outdir / "projected.json", ensemble_to_json(sphere), files)
+        yield "source.json", ensemble_to_json(ens)
+        yield "projected.json", ensemble_to_json(sphere)
 
 
-def _mode_roots(cfg, outdir, seed, formats, files):
+def _mode_roots(cfg, seed, formats):
     params = _model_params(cfg, need_eps=False)
     amp = float(cfg.roots["A"])
     lims = root_asymptotics(amp, params) if amp != 0.0 else (math.nan,) * 3
-    lines = ["eps,A,rho1,rho2,rho3,ratio1,ratio2,ratio3,lim1,lim2,lim3"]
+    rows = []
     for eps in cfg.roots["eps_list"]:
         triple = solve_roots(float(eps), amp, params)
         vals = [triple.rho1, triple.rho2, triple.rho3]
@@ -343,26 +340,22 @@ def _mode_roots(cfg, outdir, seed, formats, files):
             (params.r - vals[1]) / eps if vals[1] is not None else math.nan,
             (vals[2] - params.r) / eps if vals[2] is not None else math.nan,
         ]
-        cells = [repr(float(eps)), repr(amp)]
-        cells += ["" if v is None else repr(v) for v in vals]
-        cells += [repr(v) for v in ratios]
-        cells += [repr(v) for v in lims]
-        lines.append(",".join(cells))
-    _write(outdir / "roots.csv", "\n".join(lines) + "\n", files)
+        rows.append([float(eps), amp, *vals, *ratios, *lims])
+    yield "roots.csv", csv_text(
+        "eps,A,rho1,rho2,rho3,ratio1,ratio2,ratio3,lim1,lim2,lim3".split(","), rows)
 
 
-def _mode_flow(cfg, outdir, seed, formats, files):
+def _mode_flow(cfg, seed, formats):
     params = _model_params(cfg, need_eps=False)
-    lines = ["v0,s,speed,blowup_time"]
+    rows = []
     for v0 in cfg.flow["v0_list"]:
         s_v = blowup_time(np.array([float(v0)]), params)
         for s in cfg.flow["s_list"]:
-            speed = speed_flow(float(v0), float(s), params)
-            lines.append(f"{float(v0)!r},{float(s)!r},{speed!r},{s_v!r}")
-    _write(outdir / "flow.csv", "\n".join(lines) + "\n", files)
+            rows.append([float(v0), float(s), speed_flow(float(v0), float(s), params), s_v])
+    yield "flow.csv", csv_text(["v0", "s", "speed", "blowup_time"], rows)
 
 
-def _mode_compare(cfg, outdir, seed, formats, files):
+def _mode_compare(cfg, seed, formats):
     a = load_snapshot(cfg.compare["file_a"])
     b = load_snapshot(cfg.compare["file_b"])
     rep = w1_exact(a, b)
@@ -373,10 +366,10 @@ def _mode_compare(cfg, outdir, seed, formats, files):
         "residual": rep.residual,
         "plan": [[i, j, m] for (i, j, m) in rep.plan],
     }
-    _write(outdir / "w1_report.json", json.dumps(doc, indent=1), files)
+    yield "w1_report.json", json.dumps(doc, indent=1)
 
 
-def _mode_sweep(cfg, outdir, seed, formats, files):
+def _mode_sweep(cfg, seed, formats):
     params = _model_params(cfg, need_eps=False)
     spec = _kernel_spec(cfg)
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
@@ -387,14 +380,10 @@ def _mode_sweep(cfg, outdir, seed, formats, files):
         horizon=max(t_grid),
     )
     table = convergence_study(ens, eps_list, t_grid, base)
-    lines = ["eps,t,w1,n,seed,runtime_ms"]
-    for row in table.rows:
-        lines.append(",".join([
-            repr(row["eps"]), repr(row["t"]), repr(row["w1"]),
-            str(table.metadata["n"]), str(table.metadata["seed"]),
-            repr(row["runtime_ms"]),
-        ]))
-    _write(outdir / "sweep.csv", "\n".join(lines) + "\n", files)
+    n, run_seed = table.metadata["n"], table.metadata["seed"]
+    rows = ([row["eps"], row["t"], row["w1"], n, run_seed, row["runtime_ms"]]
+            for row in table.rows)
+    yield "sweep.csv", csv_text(["eps", "t", "w1", "n", "seed", "runtime_ms"], rows)
 
 
 _HANDLERS = {
@@ -416,15 +405,18 @@ def run(cfg: RunConfig, output_dir: str | None = None,
     formats = list(cfg.output.get("formats", ["csv"]))
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     files: list = []
-    _HANDLERS[cfg.mode](cfg, outdir, seed, formats, files)
+    for name, text in _HANDLERS[cfg.mode](cfg, seed, formats):
+        if not files:
+            outdir.mkdir(parents=True, exist_ok=True)
+        path = outdir / name
+        path.write_text(text)
+        files.append(str(path))
     finished = time.strftime("%Y-%m-%dT%H:%M:%S")
     digest = config_hash({**cfg.as_dict(), "seed": seed})
     manifest = RunManifest(config_hash=digest, seed=seed, version=__version__,
                            started=started, finished=finished, files=tuple(files))
-    mpath = outdir / "manifest.json"
-    mpath.parent.mkdir(parents=True, exist_ok=True)
-    mpath.write_text(json.dumps(
-        {**asdict(manifest), "files": list(manifest.files)}, indent=1))
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=1))
     return manifest
 
 

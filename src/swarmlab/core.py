@@ -9,7 +9,6 @@ marked read-only so snapshots can be shared freely across threads.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -203,26 +202,21 @@ def support_in_band(ens, lo: float, hi: float) -> bool:
 # values round-trip exactly.
 # ---------------------------------------------------------------------------
 
-def _csv_columns(dim):
-    return (
-        ["id"]
-        + [f"x{k + 1}" for k in range(dim)]
-        + [f"v{k + 1}" for k in range(dim)]
-        + ["w"]
-    )
+def csv_text(header, rows) -> str:
+    """A header line, then one line per row of Python numbers; each cell is
+    repr() of its number, and None is an empty cell."""
+    lines = [",".join(header)]
+    lines += [",".join("" if c is None else repr(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def ensemble_to_csv(ens) -> str:
-    vel = velocities(ens)
-    buf = io.StringIO()
-    buf.write(",".join(_csv_columns(ens.dim)) + "\n")
-    for i in range(ens.n):
-        row = [str(i)]
-        row += [repr(float(c)) for c in ens.x[i]]
-        row += [repr(float(c)) for c in vel[i]]
-        row.append(repr(float(ens.w[i])))
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+def ensemble_to_csv(ens, **extra) -> str:
+    """One row per particle; each `extra` entry is a named per-particle
+    column written after w."""
+    d = range(1, ens.dim + 1)
+    header = ["id", *(f"x{k}" for k in d), *(f"v{k}" for k in d), "w", *extra]
+    table = np.column_stack([ens.x, velocities(ens), ens.w, *extra.values()])
+    return csv_text(header, ([i, *row] for i, row in enumerate(table.tolist())))
 
 
 def ensemble_from_csv(text: str, time: float = 0.0, r: float | None = None):
@@ -258,13 +252,9 @@ def ensemble_to_json(ens) -> str:
             "r": ens.r if isinstance(ens, SphereEnsemble) else None,
         },
         "particles": [
-            {
-                "id": i,
-                "x": [float(c) for c in ens.x[i]],
-                "v": [float(c) for c in vel[i]],
-                "w": float(ens.w[i]),
-            }
-            for i in range(ens.n)
+            {"id": i, "x": xi, "v": vi, "w": wi}
+            for i, (xi, vi, wi) in enumerate(zip(ens.x.tolist(), vel.tolist(),
+                                                 ens.w.tolist()))
         ],
     }
     return json.dumps(doc, indent=1)

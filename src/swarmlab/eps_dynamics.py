@@ -142,20 +142,28 @@ def step(ens, cfg: SimConfig, step_index: int = 0):
     return advance(ens, cfg, step_index, op, ens.time + cfg.dt)
 
 
+def snapshot_steps(cfg: SimConfig) -> list:
+    """Step counts after which `simulate` stores a snapshot: 0 (the initial
+    state), every `snapshot_stride`-th step, and the last step."""
+    n_steps = int(round(cfg.T / cfg.dt))
+    return [0, *range(cfg.snapshot_stride, n_steps, cfg.snapshot_stride), n_steps]
+
+
 def simulate(f_in, cfg: SimConfig) -> Trajectory:
     """Push the initial ensemble through round(T/dt) steps, storing snapshots
-    every `snapshot_stride` steps (plus the initial and final states). A
-    PhaseEnsemble runs the eps system, a SphereEnsemble its sphere limit."""
-    n_steps = int(round(cfg.T / cfg.dt))
+    after the step counts of `snapshot_steps`. A PhaseEnsemble runs the eps
+    system, a SphereEnsemble its sphere limit."""
+    steps = snapshot_steps(cfg)
+    stored = set(steps)
     times = [f_in.time]
     snaps = [f_in]
     reports = [moments(f_in)]
     energies = [total_energy(f_in, cfg.spec)]
     ens = f_in
     advance, op = _stepper(f_in, cfg)
-    for k in range(n_steps):
+    for k in range(steps[-1]):
         ens = advance(ens, cfg, k, op, f_in.time + (k + 1) * cfg.dt)
-        if (k + 1) % cfg.snapshot_stride == 0 or (k + 1) == n_steps:
+        if k + 1 in stored:
             times.append(ens.time)
             snaps.append(ens)
             reports.append(moments(ens))

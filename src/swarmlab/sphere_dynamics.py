@@ -153,15 +153,17 @@ def zero_hom_laplacian_formula(phi, v, r: float, step: float | None = None) -> f
 # ---------------------------------------------------------------------------
 
 def spherical_coords_3d(omega, r: float):
+    """Chart angles (theta, phi) of a point, or arrays of them over the rows
+    of an (n, 3) batch."""
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,):
-        raise ValidationError(f"expected a 3D point, got shape {omega.shape}")
-    norm = math.sqrt(float(np.sum(omega * omega)))
-    if abs(norm - r) > 1e-9 * r:
-        raise ValidationError(f"point is off the radius-{r} sphere by {abs(norm - r):.3e}")
-    theta = math.asin(max(-1.0, min(1.0, omega[2] / r)))
-    phi = math.atan2(omega[1], omega[0]) % (2.0 * math.pi)
-    return theta, phi
+    if omega.ndim not in (1, 2) or omega.shape[-1] != 3:
+        raise ValidationError(f"expected 3D points, got shape {omega.shape}")
+    off = np.abs(np.sqrt(np.sum(omega * omega, axis=-1)) - r)
+    if np.any(off > 1e-9 * r):
+        raise ValidationError(f"point is off the radius-{r} sphere by {np.max(off):.3e}")
+    theta = np.arcsin(np.clip(omega[..., 2] / r, -1.0, 1.0))
+    phi = np.arctan2(omega[..., 1], omega[..., 0]) % (2.0 * math.pi)
+    return (float(theta), float(phi)) if omega.ndim == 1 else (theta, phi)
 
 
 def sphere_point_3d(theta: float, phi: float, r: float) -> np.ndarray:

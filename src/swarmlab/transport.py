@@ -34,7 +34,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .eps_dynamics import SimConfig, simulate
+from .eps_dynamics import SimConfig, simulate, snapshot_steps
 from .kernels import acceleration
 from .relaxation import solve_roots
 
@@ -165,7 +165,8 @@ class ConvergenceTable:
 def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTable:
     """Run the stiff system at each eps and the sphere limit once, all from
     the same initial atoms (the limit starts from the projected measure), and
-    tabulate W1 between matching snapshots."""
+    tabulate W1 between matching snapshots. A t_grid point that no snapshot
+    lands within dt/2 of is rejected before anything is integrated."""
     eps_list = list(eps_list)
     t_grid = sorted(t_grid)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -174,6 +175,11 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
         raise ValidationError("convergence study compares the deterministic dynamics")
     horizon = max(max(t_grid), cfg.dt)
     base = replace(cfg, T=horizon)
+    snap_times = [f_in.time + k * base.dt for k in snapshot_steps(base)]
+    missing = [t for t in t_grid if min(abs(tk - t) for tk in snap_times) > 0.5 * base.dt]
+    if missing:
+        raise ValidationError(f"t_grid points {missing} lie more than dt/2 from every snapshot "
+                              f"time (dt={base.dt}, stride={base.snapshot_stride})")
     lim_traj = simulate(project_measure(f_in, base.params.r), base)
     eps_trajs = {}
     for eps in eps_list:

@@ -374,12 +374,29 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
         "integrator": {"dt": 5e-3, "T": 0.1, "stride": 5, "diffusion": True},
         "output": {"formats": ["csv", "json"]},
     }
+    project_doc = {
+        "mode": "project",
+        "model": {"alpha": 1.0, "beta": 1.0},
+        "init": {"n": 32, "dim": 3, "L0": 1.0, "r0": 0.5, "R0": 1.5,
+                 "distribution": "uniform_annulus", "seed": 12},
+        "output": {"formats": ["csv", "json"]},
+    }
+    roots_doc = {"mode": "roots", "model": {"alpha": 1.0, "beta": 1.0},
+                 "roots": {"A": -1.0, "eps_list": [0.1, 0.01]}}
+    flow_doc = {"mode": "flow", "model": {"alpha": 1.0, "beta": 1.0},
+                "flow": {"v0_list": [0.5, 2.0], "s_list": [0.0, 1.0]}}
     outputs = []
     for label, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         monkeypatch.setenv("SWARM_THREADS", threads)
         blobs = {}
+        # compare reads the two snapshots this label's project run wrote
+        compare_doc = {"mode": "compare", "compare": {
+            "file_a": str(tmp_path / label / "project" / "source.json"),
+            "file_b": str(tmp_path / label / "project" / "projected.json")}}
         for sub, doc in (("sweep", sweep_doc), ("eps", diffusive_doc),
-                         ("limit", limit_doc)):
+                         ("limit", limit_doc), ("project", project_doc),
+                         ("roots", roots_doc), ("flow", flow_doc),
+                         ("compare", compare_doc)):
             base = tmp_path / label / sub
             run(parse_config(json.dumps(doc)), output_dir=str(base), seed=12)
             for p in sorted(base.iterdir()):
@@ -404,5 +421,7 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
     assert a == b == c
     assert len(a) > 10  # snapshot series, moments table, sweep table
     assert any(name.startswith("limit/snap_limit") for name in a)
+    assert {"project/projected.csv", "project/projected.json", "roots/roots.csv",
+            "flow/flow.csv", "compare/w1_report.json"} <= set(a)
     _report("criterion 12 (determinism)", time.perf_counter() - tic, 120.0,
             f"{len(a)} data files byte-identical across thread counts and reruns")

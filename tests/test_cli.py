@@ -81,6 +81,49 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(json.dumps({"mode": "simulate"}))
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("init", "n", "many"),
+        ("init", "seed", -1),
+        ("integrator", "stride", "x"),
+        ("model", "alpha", "1"),
+        ("output", "formats", "json"),
+        ("output", "formats", ["csv", "xml"]),
+        ("kernels", "params", {"K": "1"}),
+    ])
+    def test_malformed_values_are_config_errors(self, section, key, value, tmp_path):
+        doc = {**MINIMAL_EPS, section: {**MINIMAL_EPS.get(section, {}), key: value}}
+        with pytest.raises(ValidationError, match=f"{section}.{key}"):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate-eps", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_section_must_be_object(self):
+        with pytest.raises(ValidationError, match="objects"):
+            parse_config(json.dumps({**MINIMAL_EPS, "model": 5}))
+
+    def test_sweep_t_grid_off_snapshots_exits_before_running(self, tmp_path, monkeypatch):
+        import swarmlab.transport as transport
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate ran before the t_grid check")
+
+        monkeypatch.setattr(transport, "simulate", no_run)
+        doc = {
+            "mode": "sweep",
+            "model": {"alpha": 1.0, "beta": 1.0},
+            "kernels": {"name": "cucker_smale_weight"},
+            "init": {"n": 16, "dim": 2, "r0": 0.5, "R0": 1.5, "seed": 7,
+                     "distribution": "uniform_annulus"},
+            "integrator": {"dt": 1e-3, "stride": 100},
+            "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.05, 0.2]},
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_round_trip(self):
         doc = {
             "mode": "sweep",

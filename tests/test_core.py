@@ -16,6 +16,7 @@ from swarmlab import (
 )
 from swarmlab.core import (
     config_hash,
+    csv_text,
     ensemble_from_csv,
     ensemble_from_json,
     ensemble_to_csv,
@@ -172,6 +173,62 @@ class TestSerialization:
         assert isinstance(back, SphereEnsemble)
         assert back.r == 1.4
         assert_allclose(back.omega, ens.omega, rtol=0, atol=0)
+
+    def test_csv_text_literal(self):
+        text = csv_text(["a", "b", "c"], [[0, 0.1, None], [1, -2.5e-300, float("nan")]])
+        assert text == "a,b,c\n0,0.1,\n1,-2.5e-300,nan\n"
+
+    def test_csv_literal(self):
+        ens = SphereEnsemble(x=[[0.1, -2.0], [3.0, 1e-20]], omega=[[0.6, 0.8], [-1.0, 0.0]],
+                             w=[0.25, 0.75], r=1.0)
+        assert ensemble_to_csv(ens) == (
+            "id,x1,x2,v1,v2,w\n"
+            "0,0.1,-2.0,0.6,0.8,0.25\n"
+            "1,3.0,1e-20,-1.0,0.0,0.75\n"
+        )
+        assert ensemble_to_csv(ens, phi=np.array([0.5, 1 / 3])) == (
+            "id,x1,x2,v1,v2,w,phi\n"
+            "0,0.1,-2.0,0.6,0.8,0.25,0.5\n"
+            "1,3.0,1e-20,-1.0,0.0,0.75,0.3333333333333333\n"
+        )
+
+    def test_json_literal(self):
+        ens = PhaseEnsemble(x=[[0.1, -2.0], [3.0, 1e-20]], v=[[0.5, 0.0], [-1.0, 2.0]],
+                            w=[0.25, 0.75], time=0.5)
+        expected = """{
+ "header": {
+  "dim": 2,
+  "time": 0.5,
+  "r": null
+ },
+ "particles": [
+  {
+   "id": 0,
+   "x": [
+    0.1,
+    -2.0
+   ],
+   "v": [
+    0.5,
+    0.0
+   ],
+   "w": 0.25
+  },
+  {
+   "id": 1,
+   "x": [
+    3.0,
+    1e-20
+   ],
+   "v": [
+    -1.0,
+    2.0
+   ],
+   "w": 0.75
+  }
+ ]
+}"""
+        assert ensemble_to_json(ens) == expected
 
     def test_csv_extra_columns_tolerated(self):
         ens = make_sphere(4, d=3, r=1.0, seed=8)

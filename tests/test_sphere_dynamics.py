@@ -20,7 +20,7 @@ from swarmlab import (
     zero_hom_laplacian_formula,
 )
 from swarmlab.eps_dynamics import SimConfig
-from swarmlab.errors import PoleSingularity, ZeroVelocityParticle
+from swarmlab.errors import PoleSingularity, ValidationError, ZeroVelocityParticle
 from swarmlab.sphere_dynamics import (
     sphere_point_3d,
     tangent_frame_3d,
@@ -237,6 +237,31 @@ class TestSphericalCharts:
             theta, phi = spherical_coords_3d(om, r)
             back = sphere_point_3d(theta, phi, r)
             assert np.max(np.abs(back - om)) <= 1e-12
+
+    def test_batch_matches_point_round_trips(self):
+        r = 1.7
+        g = np.random.default_rng(11).standard_normal((200, 3))
+        om = r * g / np.linalg.norm(g, axis=1, keepdims=True)
+        theta, phi = spherical_coords_3d(om, r)
+        assert theta.shape == phi.shape == (200,)
+        for k in range(200):
+            back = sphere_point_3d(theta[k], phi[k], r)
+            assert np.max(np.abs(back - om[k])) <= 1e-12
+            assert spherical_coords_3d(om[k], r) == (theta[k], phi[k])
+            # the scalar libm chart the batch replaced, to within one ulp
+            ref = (math.asin(max(-1.0, min(1.0, om[k, 2] / r))),
+                   math.atan2(om[k, 1], om[k, 0]) % (2.0 * math.pi))
+            assert np.all(np.abs(np.subtract(ref, (theta[k], phi[k])))
+                          <= np.spacing(np.abs(ref)))
+        assert np.all((phi >= 0) & (phi < 2 * np.pi))
+
+    def test_batch_rejects_one_row_off_sphere(self):
+        r = 1.0
+        om = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 + 1e-6]])
+        with pytest.raises(ValidationError, match="off the radius"):
+            spherical_coords_3d(om, r)
+        with pytest.raises(ValidationError, match="3D points"):
+            spherical_coords_3d(om[:, :2], r)
 
     def test_frame_normalization(self, rng):
         for _ in range(50):

@@ -166,6 +166,20 @@ class TestConvergenceStudy:
         with pytest.raises(ValidationError):
             convergence_study(f_in, [0.05, 0.1], [0.1], cfg)
 
+    def test_t_grid_off_snapshots_rejected_before_integration(self, monkeypatch):
+        import swarmlab.transport as transport
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate ran before the t_grid check")
+
+        monkeypatch.setattr(transport, "simulate", no_run)
+        params = ModelParams(1.0, 1.0, 0.1)
+        cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=0.2,
+                        snapshot_stride=100, rng_seed=1)
+        # snapshots land at 0, 0.1 and 0.2; 0.05 is 0.05 away from each
+        with pytest.raises(ValidationError, match="t_grid"):
+            convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.05, 0.2], cfg)
+
     def test_table_invariant(self):
         with pytest.raises(ValidationError):
             ConvergenceTable(rows=({"eps": 0.1, "t": 0.5, "w1": 1.0},
