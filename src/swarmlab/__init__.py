@@ -11,7 +11,6 @@ from .core import (
     ModelParams,
     MomentReport,
     PhaseEnsemble,
-    SphereEnsemble,
     moments,
     project_measure,
     support_in_band,
@@ -49,7 +48,6 @@ from .transport import (
     convergence_study,
     equicontinuity_probe,
     w1_exact,
-    w1_subsampled,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

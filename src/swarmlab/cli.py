@@ -24,7 +24,6 @@ from . import __version__, noise
 from .core import (
     ModelParams,
     PhaseEnsemble,
-    SphereEnsemble,
     config_hash,
     csv_text,
     ensemble_from_csv,
@@ -131,7 +130,8 @@ _VALUE_KINDS = (
      "init.n integrator.stride"),
     ("a boolean", lambda v: isinstance(v, bool), "integrator.diffusion"),
     ("a string", lambda v: isinstance(v, str),
-     "init.input compare.file_a compare.file_b output.directory"),
+     "init.input init.distribution kernels.name integrator.scheme compare.file_a "
+     "compare.file_b output.directory"),
     ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
      "sweep.eps_list sweep.t_grid roots.eps_list flow.v0_list flow.s_list"),
     ("an object of numbers",
@@ -141,7 +141,16 @@ _VALUE_KINDS = (
 )
 
 
+# every key a config section may hold (the entries of kernels.params are
+# family-specific and checked by the kernel family)
+_KNOWN_KEYS = {name for _, _, names in _VALUE_KINDS for name in names.split()}
+
+
 def _validate(cfg: RunConfig):
+    unknown = [f"{section}.{key}" for section in SECTIONS for key in getattr(cfg, section)
+               if f"{section}.{key}" not in _KNOWN_KEYS]
+    if unknown:
+        raise ValidationError(f"unknown config keys: {unknown}")
     for kind, ok, names in _VALUE_KINDS:
         for section, key in (name.split(".") for name in names.split()):
             values = getattr(cfg, section)
@@ -150,7 +159,8 @@ def _validate(cfg: RunConfig):
     mode = cfg.mode
     if mode in ("simulate-eps", "simulate-limit", "sweep", "project"):
         _model_params(cfg, need_eps=(mode == "simulate-eps"))
-        _init_ensemble_checks(cfg)
+        if not (mode == "project" and cfg.init.get("input")):
+            _init_ensemble_checks(cfg)
         _kernel_spec(cfg)
     if mode in ("roots", "flow"):
         _model_params(cfg, need_eps=False)
@@ -256,10 +266,10 @@ def build_initial_ensemble(init: dict, params: ModelParams) -> PhaseEnsemble:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _snapshot_csv(ens) -> str:
+def _snapshot_csv(ens: PhaseEnsemble) -> str:
     """Snapshot table; a d = 3 sphere snapshot gains its chart angles."""
-    if isinstance(ens, SphereEnsemble) and ens.dim == 3:
-        theta, phi = spherical_coords_3d(ens.omega, ens.r)
+    if ens.r is not None and ens.dim == 3:
+        theta, phi = spherical_coords_3d(ens.v, ens.r)
         return ensemble_to_csv(ens, theta=theta, phi=phi)
     return ensemble_to_csv(ens)
 
@@ -274,8 +284,8 @@ def _moments_csv(traj) -> str:
     return csv_text(cols, rows)
 
 
-def load_snapshot(path: str):
-    """Read a snapshot file (JSON preferred; CSV yields a PhaseEnsemble)."""
+def load_snapshot(path: str) -> PhaseEnsemble:
+    """Read a snapshot file (JSON preferred: CSV carries no sphere radius)."""
     text = Path(path).read_text()
     return ensemble_from_json(text) if Path(path).suffix == ".json" else ensemble_from_csv(text)
 
@@ -296,7 +306,8 @@ def _run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> SimConfig:
 
 def _mode_simulate(cfg, seed, formats):
     """simulate-eps runs the sampled ensemble, simulate-limit its projection
-    onto the speed sphere; `simulate` picks the step from the ensemble type."""
+    onto the speed sphere; `simulate` picks the step from the ensemble's
+    radius."""
     limit = cfg.mode == "simulate-limit"
     params = _model_params(cfg, need_eps=not limit)
     spec = _kernel_spec(cfg)
@@ -401,6 +412,8 @@ def run(cfg: RunConfig, output_dir: str | None = None,
         seed: int | None = None) -> RunManifest:
     """Dispatch a validated config and write outputs plus a manifest."""
     seed = int(seed if seed is not None else cfg.init.get("seed", 0))
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     outdir = Path(output_dir or cfg.output.get("directory", "out"))
     formats = list(cfg.output.get("formats", ["csv"]))
     started = time.strftime("%Y-%m-%dT%H:%M:%S")

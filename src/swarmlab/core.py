@@ -1,7 +1,8 @@
 """Domain types, ensemble bookkeeping, and the sphere-projection operator.
 
 Ensembles are immutable weighted particle clouds: the discrete stand-in for a
-probability measure on phase space (x, v) or on the speed sphere (x, omega).
+probability measure on phase space (x, v), or, given a radius r, on the
+fixed-speed set {|v| = r} of the sphere limit.
 All operations are pure functions of their inputs; arrays inside ensembles are
 marked read-only so snapshots can be shared freely across threads.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import BadBand, DimensionMismatch, ValidationError, ZeroVelocityParticle
 
 MASS_TOL = 1e-12          # |sum(w) - 1| allowed at construction
-SPHERE_RADIUS_TOL = 1e-12  # relative deviation of |omega| from r
+SPHERE_RADIUS_TOL = 1e-12  # relative deviation of |v| from r
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -55,23 +56,48 @@ class ModelParams:
 class PhaseEnsemble:
     """N weighted particles (x_i, v_i, w_i) in R^d x R^d, d in {2, 3}.
 
-    Weights are nonnegative and sum to 1. Particles with exactly zero velocity
-    are rejected: the zero-speed equilibrium is unstable and every analytical
-    statement the lab verifies assumes initial support away from it.
+    Weights are nonnegative and sum to 1. Without a radius, particles with
+    exactly zero velocity are rejected: the zero-speed equilibrium is unstable
+    and every analytical statement the lab verifies assumes initial support
+    away from it. With a radius r the ensemble is a measure on the
+    fixed-speed set R^d x {|v| = r}: every |v_i| lies within
+    SPHERE_RADIUS_TOL * r of r, and the dynamics run the sphere limit.
     """
 
     x: np.ndarray   # (n, d) positions
     v: np.ndarray   # (n, d) velocities
     w: np.ndarray   # (n,) weights
     time: float = 0.0
+    r: float | None = None   # speed-sphere radius of a limit ensemble
 
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen_array(self.x))
         object.__setattr__(self, "v", _frozen_array(self.v))
         object.__setattr__(self, "w", _frozen_array(self.w))
-        _validate_cloud(self.x, self.v, self.w)
-        if np.any(np.all(self.v == 0.0, axis=1)):
-            raise ZeroVelocityParticle("ensemble contains a particle with v = 0")
+        x, v, w = self.x, self.v, self.w
+        if x.ndim != 2 or x.shape[1] not in (2, 3):
+            raise ValidationError(f"positions must be (n, d) with d in {{2, 3}}, got {x.shape}")
+        if v.shape != x.shape:
+            raise DimensionMismatch(f"velocity shape {v.shape} != position shape {x.shape}")
+        if w.shape != (x.shape[0],):
+            raise ValidationError(f"weights must be ({x.shape[0]},), got {w.shape}")
+        if np.any(w < 0):
+            raise ValidationError("weights must be nonnegative")
+        if abs(float(np.sum(w)) - 1.0) > MASS_TOL:
+            raise ValidationError(f"weights must sum to 1, got {float(np.sum(w))!r}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise ValidationError("non-finite particle coordinates")
+        if self.r is None:
+            if np.any(np.all(v == 0.0, axis=1)):
+                raise ZeroVelocityParticle("ensemble contains a particle with v = 0")
+            return
+        if not self.r > 0:
+            raise ValidationError(f"sphere radius must be positive, got {self.r}")
+        off = np.max(np.abs(self.speeds() - self.r))
+        if off > SPHERE_RADIUS_TOL * self.r:
+            raise ValidationError(
+                f"velocities stray from the radius-{self.r} sphere by {off:.3e}"
+            )
 
     @property
     def n(self) -> int:
@@ -92,62 +118,6 @@ class PhaseEnsemble:
 
 
 @dataclass(frozen=True)
-class SphereEnsemble:
-    """N weighted particles (x_i, omega_i, w_i) with |omega_i| = r."""
-
-    x: np.ndarray       # (n, d)
-    omega: np.ndarray   # (n, d), |omega_i| = r
-    w: np.ndarray       # (n,)
-    r: float
-    time: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frozen_array(self.x))
-        object.__setattr__(self, "omega", _frozen_array(self.omega))
-        object.__setattr__(self, "w", _frozen_array(self.w))
-        _validate_cloud(self.x, self.omega, self.w)
-        if not self.r > 0:
-            raise ValidationError(f"sphere radius must be positive, got {self.r}")
-        speeds = np.sqrt(np.sum(self.omega * self.omega, axis=1))
-        off = np.max(np.abs(speeds - self.r)) if speeds.size else 0.0
-        if off > SPHERE_RADIUS_TOL * self.r:
-            raise ValidationError(
-                f"velocities stray from the radius-{self.r} sphere by {off:.3e}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    def speeds(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.omega * self.omega, axis=1))
-
-
-def _validate_cloud(x, vel, w):
-    if x.ndim != 2 or x.shape[1] not in (2, 3):
-        raise ValidationError(f"positions must be (n, d) with d in {{2, 3}}, got {x.shape}")
-    if vel.shape != x.shape:
-        raise DimensionMismatch(f"velocity shape {vel.shape} != position shape {x.shape}")
-    if w.shape != (x.shape[0],):
-        raise ValidationError(f"weights must be ({x.shape[0]},), got {w.shape}")
-    if np.any(w < 0):
-        raise ValidationError("weights must be nonnegative")
-    if abs(float(np.sum(w)) - 1.0) > MASS_TOL:
-        raise ValidationError(f"weights must sum to 1, got {float(np.sum(w))!r}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vel))):
-        raise ValidationError("non-finite particle coordinates")
-
-
-def velocities(ens) -> np.ndarray:
-    """Velocity array of either ensemble flavor."""
-    return ens.v if isinstance(ens, PhaseEnsemble) else ens.omega
-
-
-@dataclass(frozen=True)
 class MomentReport:
     mass: float
     momentum: np.ndarray
@@ -160,27 +130,27 @@ class MomentReport:
         object.__setattr__(self, "momentum", _frozen_array(self.momentum))
 
 
-def project_measure(ens: PhaseEnsemble, r: float) -> SphereEnsemble:
+def project_measure(ens: PhaseEnsemble, r: float) -> PhaseEnsemble:
     """Send every atom (x, v, w) to (x, r*v/|v|, w): the projected measure on the
-    radius-r sphere. Positions and weights are untouched, so mass is preserved
-    exactly and each velocity keeps its direction."""
+    radius-r sphere, from an ensemble with or without a radius. Positions and
+    weights are untouched, so mass is preserved exactly and each velocity
+    keeps its direction."""
     if not r > 0:
         raise ValidationError(f"projection radius must be positive, got {r}")
     speeds = ens.speeds()
     if np.any(speeds == 0.0):
         raise ZeroVelocityParticle("cannot project a particle with v = 0")
-    omega = ens.v * (r / speeds)[:, None]
-    return SphereEnsemble(x=ens.x, omega=omega, w=ens.w, r=r, time=ens.time)
+    v = ens.v * (r / speeds)[:, None]
+    return PhaseEnsemble(x=ens.x, v=v, w=ens.w, time=ens.time, r=r)
 
 
-def moments(ens) -> MomentReport:
+def moments(ens: PhaseEnsemble) -> MomentReport:
     """Weighted moments and support diagnostics of an ensemble."""
-    vel = velocities(ens)
-    speeds = np.sqrt(np.sum(vel * vel, axis=1))
+    speeds = ens.speeds()
     pos_r = np.sqrt(np.sum(ens.x * ens.x, axis=1))
     return MomentReport(
         mass=float(np.sum(ens.w)),
-        momentum=np.sum(ens.w[:, None] * vel, axis=0),
+        momentum=np.sum(ens.w[:, None] * ens.v, axis=0),
         kinetic_energy=float(np.sum(ens.w * speeds * speeds)),
         speed_min=float(np.min(speeds)),
         speed_max=float(np.max(speeds)),
@@ -188,11 +158,11 @@ def moments(ens) -> MomentReport:
     )
 
 
-def support_in_band(ens, lo: float, hi: float) -> bool:
+def support_in_band(ens: PhaseEnsemble, lo: float, hi: float) -> bool:
     """True iff every particle speed lies in [lo, hi]."""
     if lo > hi:
         raise BadBand(f"need lo <= hi, got [{lo}, {hi}]")
-    speeds = np.sqrt(np.sum(velocities(ens) ** 2, axis=1))
+    speeds = ens.speeds()
     return bool(np.all(speeds >= lo) and np.all(speeds <= hi))
 
 
@@ -210,19 +180,21 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ensemble_to_csv(ens, **extra) -> str:
+def ensemble_to_csv(ens: PhaseEnsemble, **extra) -> str:
     """One row per particle; each `extra` entry is a named per-particle
     column written after w."""
     d = range(1, ens.dim + 1)
     header = ["id", *(f"x{k}" for k in d), *(f"v{k}" for k in d), "w", *extra]
-    table = np.column_stack([ens.x, velocities(ens), ens.w, *extra.values()])
+    table = np.column_stack([ens.x, ens.v, ens.w, *extra.values()])
     return csv_text(header, ([i, *row] for i, row in enumerate(table.tolist())))
 
 
-def ensemble_from_csv(text: str, time: float = 0.0, r: float | None = None):
-    """Parse the CSV particle table. Returns a SphereEnsemble when r is given,
-    otherwise a PhaseEnsemble (CSV carries no header object). Columns are
-    looked up by name, so extra diagnostic columns are tolerated."""
+def ensemble_from_csv(text: str, time: float = 0.0,
+                      r: float | None = None) -> PhaseEnsemble:
+    """Parse the CSV particle table. CSV carries no header object, so the
+    time and the sphere radius (None for a phase ensemble) are passed in.
+    Columns are looked up by name, so extra diagnostic columns are
+    tolerated."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     header = lines[0].split(",")
     dim = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
@@ -238,38 +210,29 @@ def ensemble_from_csv(text: str, time: float = 0.0, r: float | None = None):
     x = np.array([[float(row[k]) for k in xi] for row in rows])
     v = np.array([[float(row[k]) for k in vi] for row in rows])
     w = np.array([float(row[wi]) for row in rows])
-    if r is None:
-        return PhaseEnsemble(x=x, v=v, w=w, time=time)
-    return SphereEnsemble(x=x, omega=v, w=w, r=r, time=time)
+    return PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
 
 
-def ensemble_to_json(ens) -> str:
-    vel = velocities(ens)
+def ensemble_to_json(ens: PhaseEnsemble) -> str:
     doc = {
-        "header": {
-            "dim": ens.dim,
-            "time": ens.time,
-            "r": ens.r if isinstance(ens, SphereEnsemble) else None,
-        },
+        "header": {"dim": ens.dim, "time": ens.time, "r": ens.r},
         "particles": [
             {"id": i, "x": xi, "v": vi, "w": wi}
-            for i, (xi, vi, wi) in enumerate(zip(ens.x.tolist(), vel.tolist(),
+            for i, (xi, vi, wi) in enumerate(zip(ens.x.tolist(), ens.v.tolist(),
                                                  ens.w.tolist()))
         ],
     }
     return json.dumps(doc, indent=1)
 
 
-def ensemble_from_json(text: str):
+def ensemble_from_json(text: str) -> PhaseEnsemble:
     doc = json.loads(text)
     head = doc["header"]
     parts = doc["particles"]
     x = np.array([p["x"] for p in parts], dtype=float)
     v = np.array([p["v"] for p in parts], dtype=float)
     w = np.array([p["w"] for p in parts], dtype=float)
-    if head.get("r") is None:
-        return PhaseEnsemble(x=x, v=v, w=w, time=head["time"])
-    return SphereEnsemble(x=x, omega=v, w=w, r=head["r"], time=head["time"])
+    return PhaseEnsemble(x=x, v=v, w=w, time=head["time"], r=head.get("r"))
 
 
 def config_hash(mapping) -> str:

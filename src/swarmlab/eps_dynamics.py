@@ -21,9 +21,10 @@ The diffusive variant adds, per half-kick, an increment sqrt(2) N(0, (dt/2) I)
 drawn from a counter-based stream keyed by (seed, step), so trajectories are
 reproducible at any worker count.
 
-`simulate` and `step` integrate both regimes: a PhaseEnsemble takes the
-splitting step above, a SphereEnsemble the fixed-speed limit step of
-`sphere_dynamics`. Either way one PairOperator is carried through the run.
+`simulate` and `step` integrate both regimes: an ensemble without a radius
+takes the splitting step above, one with a radius r (speeds fixed at r) the
+limit step of `sphere_dynamics`. Either way one PairOperator is carried
+through the run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise
-from .core import ModelParams, PhaseEnsemble, SphereEnsemble, moments, velocities
+from .core import ModelParams, PhaseEnsemble, moments
 from .errors import MissingSnapshot, ValidationError
 from .kernels import KernelSpec, PairOperator, interaction_energy
 from .relaxation import free_flow
@@ -88,10 +89,9 @@ class Trajectory:
         raise MissingSnapshot(f"no snapshot within dt/2 of t={t}")
 
 
-def total_energy(ens, spec: KernelSpec) -> float:
-    """Kinetic-plus-interaction energy of a snapshot (either ensemble flavor)."""
-    vel = velocities(ens)
-    speeds2 = np.sum(vel * vel, axis=1)
+def total_energy(ens: PhaseEnsemble, spec: KernelSpec) -> float:
+    """Kinetic-plus-interaction energy of a snapshot of either regime."""
+    speeds2 = np.sum(ens.v * ens.v, axis=1)
     return 0.5 * float(np.sum(ens.w * speeds2)) + interaction_energy(ens, spec)
 
 
@@ -107,12 +107,12 @@ def _kick(op, v, tau, shot=None):
     return out
 
 
-def _stepper(ens, cfg: SimConfig):
+def _stepper(ens: PhaseEnsemble, cfg: SimConfig):
     """The step function of the regime `ens` lives in, and the pair operator a
     run from `ens` starts with. The eps step's operator is built at ens.x,
     since its first kick precedes the drift; the limit step builds its own."""
     op = PairOperator(ens.w, cfg.spec)
-    if isinstance(ens, SphereEnsemble):
+    if ens.r is not None:
         return advance_limit, op
     return _advance, op.build(ens.x)
 
@@ -136,7 +136,7 @@ def _advance(ens: PhaseEnsemble, cfg: SimConfig, step_index: int,
     return PhaseEnsemble(x=x, v=v, w=ens.w, time=time)
 
 
-def step(ens, cfg: SimConfig, step_index: int = 0):
+def step(ens: PhaseEnsemble, cfg: SimConfig, step_index: int = 0) -> PhaseEnsemble:
     """One step of the regime `ens` lives in, with noise iff cfg.diffusion."""
     advance, op = _stepper(ens, cfg)
     return advance(ens, cfg, step_index, op, ens.time + cfg.dt)
@@ -149,10 +149,10 @@ def snapshot_steps(cfg: SimConfig) -> list:
     return [0, *range(cfg.snapshot_stride, n_steps, cfg.snapshot_stride), n_steps]
 
 
-def simulate(f_in, cfg: SimConfig) -> Trajectory:
+def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
     """Push the initial ensemble through round(T/dt) steps, storing snapshots
-    after the step counts of `snapshot_steps`. A PhaseEnsemble runs the eps
-    system, a SphereEnsemble its sphere limit."""
+    after the step counts of `snapshot_steps`. An ensemble without a radius
+    runs the eps system, one with a radius its sphere limit."""
     steps = snapshot_steps(cfg)
     stored = set(steps)
     times = [f_in.time]

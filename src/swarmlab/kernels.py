@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import velocities
 from .errors import BadKernelParams, ValidationError
 
 
@@ -287,13 +286,12 @@ class PairOperator:
 
 
 def acceleration(ens, spec: KernelSpec) -> FieldSample:
-    """Mean-field acceleration of every particle against the full ensemble.
-
-    Works on PhaseEnsemble and SphereEnsemble alike. The pair sums are BLAS
+    """Mean-field acceleration of every particle against the full ensemble,
+    in either regime (with or without a sphere radius). The pair sums are BLAS
     matrix products; their bytes do not depend on the BLAS thread count
     (checked by the suite at 1 and 2 OpenBLAS threads).
     """
-    a = PairOperator(ens.w, spec).build(ens.x).field(velocities(ens))
+    a = PairOperator(ens.w, spec).build(ens.x).field(ens.v)
     sup = float(np.max(np.sqrt(np.sum(a * a, axis=1)))) if a.size else 0.0
     return FieldSample(a=a, sup_norm=sup)
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import noise
-from .core import SphereEnsemble
+from .core import PhaseEnsemble
 from .errors import PoleSingularity, ValidationError, ZeroVelocityParticle
 from .kernels import PairOperator
 
@@ -58,25 +58,25 @@ def _renormalize(u, omega, r):
     return out
 
 
-def advance_limit(ens: SphereEnsemble, cfg, step_index: int,
-                  op: PairOperator, time: float) -> SphereEnsemble:
-    """One limit step to the new time `time`: transport by omega, then rotate
-    omega by the projected field, plus, iff cfg.diffusion, a projected
-    sqrt(2)-Gaussian increment (projected Euler-Maruyama: weak order 1 for
-    drift plus intrinsic sphere diffusion). `op` is rebuilt at ens.x;
-    `cfg.params.eps` plays no role here."""
-    a = op.build(ens.x).field(ens.omega)
-    xi = tangential_projection(a, ens.omega)
-    x = ens.x + cfg.dt * ens.omega
-    u = ens.omega + cfg.dt * xi
+def advance_limit(ens: PhaseEnsemble, cfg, step_index: int,
+                  op: PairOperator, time: float) -> PhaseEnsemble:
+    """One limit step of an ensemble on the radius-r sphere to the new time
+    `time`: transport by omega = v, then rotate omega by the projected field,
+    plus, iff cfg.diffusion, a projected sqrt(2)-Gaussian increment (projected
+    Euler-Maruyama: weak order 1 for drift plus intrinsic sphere diffusion).
+    `op` is rebuilt at ens.x; `cfg.params.eps` plays no role here."""
+    a = op.build(ens.x).field(ens.v)
+    xi = tangential_projection(a, ens.v)
+    x = ens.x + cfg.dt * ens.v
+    u = ens.v + cfg.dt * xi
     if cfg.diffusion:
         # drift and noise projected separately so a zero draw reproduces the
         # deterministic step bit for bit
         shot = noise.gaussian_increments(cfg.rng_seed, noise.SPHERE_DYNAMICS,
-                                         step_index, ens.omega.shape)
-        u = u + math.sqrt(2.0 * cfg.dt) * tangential_projection(shot, ens.omega)
-    omega = _renormalize(u, ens.omega, ens.r)
-    return SphereEnsemble(x=x, omega=omega, w=ens.w, r=ens.r, time=time)
+                                         step_index, ens.v.shape)
+        u = u + math.sqrt(2.0 * cfg.dt) * tangential_projection(shot, ens.v)
+    v = _renormalize(u, ens.v, ens.r)
+    return PhaseEnsemble(x=x, v=v, w=ens.w, time=time, r=ens.r)
 
 
 # ---------------------------------------------------------------------------

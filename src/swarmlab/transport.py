@@ -7,7 +7,7 @@ stated. Equal-count uniform-weight pairs are solved as a min-cost assignment
 (shortest augmenting path); general weights go through an exact transport LP.
 No entropic regularization anywhere: acceptance tests need exact optima.
 
-Past a size cap `w1_exact` raises TooLarge and points to `w1_subsampled`.
+Past a size cap `w1_exact` raises TooLarge, naming the cap it hit.
 EXACT_CAP bounds the combined atom count of both solvers; LP_CAP bounds the
 plan entries n*m of the LP, whose cost grows much faster than the
 assignment's: on random 2-D phase clouds it took 1.5 s for a 300x400 plan and
@@ -27,7 +27,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
-from .core import ModelParams, config_hash, project_measure, velocities
+from .core import ModelParams, project_measure
 from .errors import (
     DimensionMismatch,
     MissingSnapshot,
@@ -59,7 +59,7 @@ class W1Report:
 
 
 def _points(ens) -> np.ndarray:
-    return np.hstack([ens.x, velocities(ens)])
+    return np.hstack([ens.x, ens.v])
 
 
 def w1_exact(mu, nu) -> W1Report:
@@ -68,8 +68,8 @@ def w1_exact(mu, nu) -> W1Report:
         raise DimensionMismatch(f"phase dimensions differ: {mu.dim} vs {nu.dim}")
     if mu.n + nu.n > EXACT_CAP:
         raise TooLarge(
-            f"{mu.n}+{nu.n} particles exceed the exact cap {EXACT_CAP}; "
-            "subsample (w1_subsampled) instead"
+            f"{mu.n}+{nu.n} particles exceed EXACT_CAP, the exact solvers' "
+            f"budget of {EXACT_CAP} combined atoms"
         )
     uniform = (
         mu.n == nu.n
@@ -78,8 +78,8 @@ def w1_exact(mu, nu) -> W1Report:
     )
     if not uniform and mu.n * nu.n > LP_CAP:
         raise TooLarge(
-            f"{mu.n}x{nu.n} transport plan exceeds the LP cap of {LP_CAP} "
-            "entries; subsample (w1_subsampled) instead"
+            f"{mu.n}x{nu.n} transport plan exceeds LP_CAP, the LP's budget "
+            f"of {LP_CAP} plan entries"
         )
     cost = cdist(_points(mu), _points(nu))
     if uniform:
@@ -117,27 +117,6 @@ def _w1_lp(cost, w_mu, w_nu) -> W1Report:
     value = float(np.sum(pi * cost))
     return W1Report(value=value, plan=plan, solver="lp",
                     iterations=int(getattr(res, "nit", 0)), residual=marg_err)
-
-
-def w1_subsampled(mu, nu, n_sub: int = 512, n_rep: int = 8, seed: int = 0):
-    """Monte-Carlo W1 estimate for ensembles above the exact cap.
-
-    Draws i.i.d. atoms from each measure (by weight) and averages the exact
-    distance of the subsampled uniform clouds. Returns (estimate, stderr);
-    this is an estimate, not a certified distance.
-    """
-    rng = np.random.default_rng(seed)
-    p_mu, p_nu = _points(mu), _points(nu)
-    vals = []
-    for _ in range(n_rep):
-        i = rng.choice(mu.n, size=n_sub, replace=True, p=mu.w)
-        j = rng.choice(nu.n, size=n_sub, replace=True, p=nu.w)
-        cost = cdist(p_mu[i], p_nu[j])
-        rows, cols = linear_sum_assignment(cost)
-        vals.append(float(np.sum(cost[rows, cols]) / n_sub))
-    vals = np.asarray(vals)
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_rep)) if n_rep > 1 else float("inf")
-    return float(np.mean(vals)), stderr
 
 
 @dataclass(frozen=True)
@@ -197,16 +176,7 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         rows = tuple(pool.map(solve, tasks))
-    meta = {
-        "n": f_in.n,
-        "seed": cfg.rng_seed,
-        "config_hash": config_hash({
-            "alpha": base.params.alpha, "beta": base.params.beta,
-            "dt": base.dt, "T": horizon,
-            "kernel": base.spec.name, "kernel_params": base.spec.params,
-            "eps_list": eps_list, "t_grid": t_grid,
-        }),
-    }
+    meta = {"n": f_in.n, "seed": cfg.rng_seed}
     return ConvergenceTable(rows=rows, metadata=meta)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmlab import PhaseEnsemble, SphereEnsemble
+from swarmlab import PhaseEnsemble
 
 
 def make_phase(n, d=2, seed=0, speed_lo=0.5, speed_hi=2.0, box=1.0, weights=None):
@@ -24,7 +24,7 @@ def make_sphere(n, d=2, r=1.0, seed=0, box=1.0):
     x = rng.uniform(-box, box, size=(n, d))
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return SphereEnsemble(x=x, omega=r * dirs, w=np.full(n, 1.0 / n), r=r)
+    return PhaseEnsemble(x=x, v=r * dirs, w=np.full(n, 1.0 / n), r=r)
 
 
 @pytest.fixture

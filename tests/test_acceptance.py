@@ -273,20 +273,20 @@ def test_criterion_10_sphere_diffusion_generator():
     tic = time.perf_counter()
     r = 1.0
     n = 10000
-    ens = sl.SphereEnsemble(x=np.zeros((n, 3)), omega=np.tile([0, 0, r], (n, 1)),
-                            w=np.full(n, 1.0 / n), r=r)
+    ens = sl.PhaseEnsemble(x=np.zeros((n, 3)), v=np.tile([0, 0, r], (n, 1)),
+                           w=np.full(n, 1.0 / n), r=r)
     cfg = SimConfig(params=sl.ModelParams(1.0, 1.0, 1.0),
                     spec=sl.builtin_kernels("zero_potential"),
                     dt=2e-3, T=10.0 * r**2 / 2.0, snapshot_stride=25,
                     diffusion=True, rng_seed=10)
     traj = sl.simulate(ens, cfg)
     ts = np.array(traj.times)
-    m3 = np.array([float(np.sum(s.w * s.omega[:, 2])) for s in traj.snapshots])
+    m3 = np.array([float(np.sum(s.w * s.v[:, 2])) for s in traj.snapshots])
     mask = m3 > 0.1 * r
     rate = -np.polyfit(ts[mask], np.log(m3[mask] / r), 1)[0]
     assert rate == pytest.approx(2.0 / r**2, rel=0.10)
     final = np.linalg.norm(np.sum(traj.snapshots[-1].w[:, None]
-                                  * traj.snapshots[-1].omega, axis=0))
+                                  * traj.snapshots[-1].v, axis=0))
     assert final <= 0.05 * r
     _report("criterion 10 (sphere diffusion generator)",
             time.perf_counter() - tic, 120.0,

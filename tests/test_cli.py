@@ -89,6 +89,10 @@ class TestParseConfig:
         ("output", "formats", "json"),
         ("output", "formats", ["csv", "xml"]),
         ("kernels", "params", {"K": "1"}),
+        ("kernels", "name", 3),
+        ("integrator", "difusion", True),   # unknown keys, misspelled or not
+        ("init", "N", 16),
+        ("model", "gamma", 1.0),
     ])
     def test_malformed_values_are_config_errors(self, section, key, value, tmp_path):
         doc = {**MINIMAL_EPS, section: {**MINIMAL_EPS.get(section, {}), key: value}}
@@ -251,6 +255,35 @@ class TestRun:
         rep = json.loads((tmp_path / "c" / "w1_report.json").read_text())
         assert rep["value"] > 0
         assert rep["solver"] == "assignment"
+
+    def test_project_from_limit_snapshot(self, tmp_path):
+        limit = {
+            "mode": "simulate-limit",
+            "model": {"alpha": 4.0, "beta": 1.0},
+            "kernels": {"name": "constant_weight", "params": {"K": 1.0}},
+            "init": {"n": 8, "dim": 3, "L0": 1.0, "distribution": "on_sphere", "seed": 4},
+            "integrator": {"T": 0.02, "dt": 1e-2, "stride": 1, "diffusion": True},
+            "output": {"formats": ["json"]},
+        }
+        run(parse_config(json.dumps(limit)), output_dir=str(tmp_path / "lim"))
+        snap = tmp_path / "lim" / "snap_limit_00002.json"
+        cfg = tmp_path / "project.json"
+        cfg.write_text(json.dumps({
+            "mode": "project", "model": {"alpha": 4.0, "beta": 1.0},
+            "init": {"input": str(snap)}, "output": {"formats": ["csv", "json"]}}))
+        assert main(["project", str(cfg), "--output", str(tmp_path / "p")]) == 0
+        source = load_snapshot(str(snap))
+        projected = load_snapshot(str(tmp_path / "p" / "projected.json"))
+        assert projected.r == 2.0
+        assert np.array_equal(projected.x, source.x)
+        assert np.max(np.abs(projected.speeds() - 2.0)) <= 1e-12
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps(MINIMAL_EPS))
+        out = tmp_path / "out"
+        assert main(["simulate-eps", str(path), "--seed", "-3", "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.json"

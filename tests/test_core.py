@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from swarmlab import (
     ModelParams,
     PhaseEnsemble,
-    SphereEnsemble,
     moments,
     project_measure,
     support_in_band,
@@ -59,7 +58,7 @@ class TestEnsembles:
 
     def test_sphere_radius_enforced(self):
         with pytest.raises(ValidationError):
-            SphereEnsemble(x=[[0.0, 0.0]], omega=[[1.1, 0.0]], w=[1.0], r=1.0)
+            PhaseEnsemble(x=[[0.0, 0.0]], v=[[1.1, 0.0]], w=[1.0], r=1.0)
 
     def test_dim_must_be_2_or_3(self):
         with pytest.raises(ValidationError):
@@ -70,15 +69,15 @@ class TestProjection:
     def test_three_four_five(self):
         ens = PhaseEnsemble(x=[[1.0, 2.0]], v=[[3.0, 4.0]], w=[1.0])
         out = project_measure(ens, 1.0)
-        assert_allclose(out.omega, [[0.6, 0.8]], rtol=0, atol=1e-15)
+        assert_allclose(out.v, [[0.6, 0.8]], rtol=0, atol=1e-15)
         assert_allclose(out.x, ens.x)
         assert out.w[0] == 1.0
 
     def test_idempotent_on_sphere(self):
         ens = make_sphere(64, d=3, r=1.7, seed=3)
-        phase = PhaseEnsemble(x=ens.x, v=ens.omega, w=ens.w)
+        phase = PhaseEnsemble(x=ens.x, v=ens.v, w=ens.w)
         out = project_measure(phase, 1.7)
-        assert_allclose(out.omega, ens.omega, rtol=5e-15, atol=0)
+        assert_allclose(out.v, ens.v, rtol=5e-15, atol=0)
 
     def test_mass_identity_random_64(self):
         ens = make_phase(64, d=2, seed=7)
@@ -95,11 +94,11 @@ class TestProjection:
         ens = make_phase(16, d=2, seed=seed)
         out = project_measure(ens, r)
         dirs_in = ens.v / np.linalg.norm(ens.v, axis=1, keepdims=True)
-        dirs_out = out.omega / np.linalg.norm(out.omega, axis=1, keepdims=True)
+        dirs_out = out.v / np.linalg.norm(out.v, axis=1, keepdims=True)
         assert np.max(np.abs(dirs_in - dirs_out)) <= 1e-14
         again = project_measure(
-            PhaseEnsemble(x=out.x, v=out.omega, w=out.w), r)
-        assert_allclose(again.omega, out.omega, rtol=5e-15, atol=0)
+            PhaseEnsemble(x=out.x, v=out.v, w=out.w), r)
+        assert_allclose(again.v, out.v, rtol=5e-15, atol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6),
@@ -110,7 +109,7 @@ class TestProjection:
         translated = PhaseEnsemble(x=ens.x + u, v=ens.v, w=ens.w)
         a = project_measure(translated, 1.5)
         b = project_measure(ens, 1.5)
-        assert_allclose(a.omega, b.omega, rtol=0, atol=0)
+        assert_allclose(a.v, b.v, rtol=0, atol=0)
         assert_allclose(a.x, b.x + u, rtol=0, atol=0)
 
 
@@ -170,17 +169,17 @@ class TestSerialization:
     def test_json_round_trip_sphere(self):
         ens = make_sphere(9, d=3, r=1.4, seed=6)
         back = ensemble_from_json(ensemble_to_json(ens))
-        assert isinstance(back, SphereEnsemble)
+        assert back.r == ens.r
         assert back.r == 1.4
-        assert_allclose(back.omega, ens.omega, rtol=0, atol=0)
+        assert_allclose(back.v, ens.v, rtol=0, atol=0)
 
     def test_csv_text_literal(self):
         text = csv_text(["a", "b", "c"], [[0, 0.1, None], [1, -2.5e-300, float("nan")]])
         assert text == "a,b,c\n0,0.1,\n1,-2.5e-300,nan\n"
 
     def test_csv_literal(self):
-        ens = SphereEnsemble(x=[[0.1, -2.0], [3.0, 1e-20]], omega=[[0.6, 0.8], [-1.0, 0.0]],
-                             w=[0.25, 0.75], r=1.0)
+        ens = PhaseEnsemble(x=[[0.1, -2.0], [3.0, 1e-20]], v=[[0.6, 0.8], [-1.0, 0.0]],
+                            w=[0.25, 0.75], r=1.0)
         assert ensemble_to_csv(ens) == (
             "id,x1,x2,v1,v2,w\n"
             "0,0.1,-2.0,0.6,0.8,0.25\n"
@@ -237,7 +236,7 @@ class TestSerialization:
         lines[0] += ",theta,phi"
         lines[1:] = [ln + ",0.0,0.0" for ln in lines[1:]]
         back = ensemble_from_csv("\n".join(lines), r=1.0)
-        assert_allclose(back.omega, ens.omega, rtol=0, atol=0)
+        assert_allclose(back.v, ens.v, rtol=0, atol=0)
 
 
 def test_config_hash_stable_under_reordering():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import swarmlab.noise as noise
 from swarmlab import (
     ModelParams,
-    SphereEnsemble,
+    PhaseEnsemble,
     builtin_kernels,
     laplace_beltrami_via_extension,
     simulate,
@@ -50,8 +50,8 @@ class TestTangentialProjection:
     def test_tangency_tolerance(self, rng):
         ens = make_sphere(100, d=3, r=1.3, seed=1)
         a = rng.standard_normal((100, 3))
-        xi = tangential_projection(a, ens.omega)
-        dots = np.abs(np.sum(xi * ens.omega, axis=1))
+        xi = tangential_projection(a, ens.v)
+        dots = np.abs(np.sum(xi * ens.v, axis=1))
         norms = np.linalg.norm(xi, axis=1)
         assert np.all(dots <= 1e-12 * 1.3 * np.maximum(norms, 1e-300))
 
@@ -62,8 +62,8 @@ class TestStepLimit:
         cfg = SimConfig(params=ModelParams(2.25, 1.0, 1.0), spec=ZERO,
                         dt=0.01, T=0.01)
         out = step(ens, cfg)
-        assert_allclose(out.omega, ens.omega, rtol=0, atol=0)
-        assert_allclose(out.x, ens.x + 0.01 * ens.omega, rtol=0, atol=0)
+        assert_allclose(out.v, ens.v, rtol=0, atol=0)
+        assert_allclose(out.x, ens.x + 0.01 * ens.v, rtol=0, atol=0)
 
     def test_speed_conservation(self):
         ens = make_sphere(64, d=3, r=1.2, seed=3)
@@ -79,12 +79,12 @@ class TestStepLimit:
         n = 64
         ang = rng.uniform(-np.pi / 3, np.pi / 3, n)
         omega = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        ens = SphereEnsemble(x=rng.normal(size=(n, 2)), omega=omega,
-                             w=np.full(n, 1.0 / n), r=1.0)
+        ens = PhaseEnsemble(x=rng.normal(size=(n, 2)), v=omega,
+                            w=np.full(n, 1.0 / n), r=1.0)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
                         dt=0.01, T=20.0, snapshot_stride=100)
         traj = simulate(ens, cfg)
-        cv = [1.0 - np.linalg.norm(np.sum(s.w[:, None] * s.omega, axis=0))
+        cv = [1.0 - np.linalg.norm(np.sum(s.w[:, None] * s.v, axis=0))
               for s in traj.snapshots]
         assert all(b <= a + 1e-12 for a, b in zip(cv, cv[1:]))
         assert cv[-1] < 1e-6
@@ -96,7 +96,7 @@ class TestStepLimit:
         traj = simulate(ens, cfg)
         spread = [
             float(np.sum(s.w[:, None] * s.w[None, :]
-                         * np.sum((s.omega[:, None, :] - s.omega[None, :, :]) ** 2,
+                         * np.sum((s.v[:, None, :] - s.v[None, :, :]) ** 2,
                                   axis=2)))
             for s in traj.snapshots
         ]
@@ -114,35 +114,35 @@ class TestStepLimitDiffusive:
                         dt=0.01, T=0.01)
         a = step(ens, cfg_d)
         b = step(ens, cfg)
-        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.x, b.x)
 
     def test_uniformization_on_sphere(self):
         # free sphere diffusion forgets the initial pole concentration
         r = 1.0
         n = 10000
-        ens = SphereEnsemble(x=np.zeros((n, 3)), omega=np.tile([0, 0, r], (n, 1)),
-                             w=np.full(n, 1.0 / n), r=r)
+        ens = PhaseEnsemble(x=np.zeros((n, 3)), v=np.tile([0, 0, r], (n, 1)),
+                            w=np.full(n, 1.0 / n), r=r)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
                         dt=2e-3, T=5.0, snapshot_stride=2500,
                         diffusion=True, rng_seed=21)
         traj = simulate(ens, cfg)
         first_moment = np.linalg.norm(
-            np.sum(traj.snapshots[-1].w[:, None] * traj.snapshots[-1].omega, axis=0))
+            np.sum(traj.snapshots[-1].w[:, None] * traj.snapshots[-1].v, axis=0))
         assert first_moment <= 0.05 * r
 
     def test_degree_one_decay_rate(self):
         # E[omega_3] decays like exp(-2 t / r^2)
         r = 1.0
         n = 8000
-        ens = SphereEnsemble(x=np.zeros((n, 3)), omega=np.tile([0, 0, r], (n, 1)),
-                             w=np.full(n, 1.0 / n), r=r)
+        ens = PhaseEnsemble(x=np.zeros((n, 3)), v=np.tile([0, 0, r], (n, 1)),
+                            w=np.full(n, 1.0 / n), r=r)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
                         dt=2e-3, T=1.0, snapshot_stride=50,
                         diffusion=True, rng_seed=7)
         traj = simulate(ens, cfg)
         ts = np.array(traj.times)
-        m3 = np.array([float(np.sum(s.w * s.omega[:, 2])) for s in traj.snapshots])
+        m3 = np.array([float(np.sum(s.w * s.v[:, 2])) for s in traj.snapshots])
         mask = m3 > 0.1 * r
         rate = -np.polyfit(ts[mask], np.log(m3[mask] / r), 1)[0]
         assert rate == pytest.approx(2.0 / r**2, rel=0.10)
