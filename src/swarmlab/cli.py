@@ -157,6 +157,9 @@ def _validate(cfg: RunConfig):
             if key in values and not ok(values[key]):
                 raise ValidationError(f"{section}.{key} must be {kind}, got {values[key]!r}")
     mode = cfg.mode
+    if "input" in cfg.init and mode != "project":
+        raise ValidationError(f"init.input is read only by project mode; "
+                              f"{mode} samples its ensemble from init.n")
     if mode in ("simulate-eps", "simulate-limit", "sweep", "project"):
         _model_params(cfg, need_eps=(mode == "simulate-eps"))
         if not (mode == "project" and cfg.init.get("input")):

@@ -17,7 +17,7 @@ from swarmlab.cli import (
     run,
     serialize_config,
 )
-from swarmlab.core import ModelParams, ensemble_from_csv
+from swarmlab.core import ModelParams, ensemble_from_csv, ensemble_to_json
 from swarmlab.errors import ParseError, ValidationError
 
 MINIMAL_EPS = {
@@ -126,6 +126,24 @@ class TestParseConfig:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(doc))
         assert main(["sweep", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["simulate-eps", "simulate-limit", "sweep"])
+    def test_init_input_outside_project_is_config_error(self, mode, tmp_path):
+        # only project reads init.input; elsewhere it would be silently ignored
+        source = build_initial_ensemble({"n": 64, "distribution": "on_sphere"},
+                                        ModelParams(1.0, 1.0, 0.05))
+        snap = tmp_path / "snap.json"
+        snap.write_text(ensemble_to_json(source))
+        doc = {**MINIMAL_EPS, "mode": mode,
+               "init": {**MINIMAL_EPS["init"], "n": 8, "input": str(snap)}}
+        if mode == "sweep":
+            doc["sweep"] = {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.02]}
+        with pytest.raises(ValidationError, match="init.input"):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([mode, str(path), "--output", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_sweep_round_trip(self):

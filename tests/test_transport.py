@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from swarmlab import (
@@ -15,7 +18,7 @@ from swarmlab import (
 )
 from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import DimensionMismatch, TooLarge, ValidationError
-from swarmlab.transport import ConvergenceTable
+from swarmlab.transport import EXACT_CAP, ConvergenceTable, _w1_lp
 
 from conftest import make_phase, make_sphere
 
@@ -52,16 +55,28 @@ class TestW1Exact:
         with pytest.raises(TooLarge, match="EXACT_CAP"):
             w1_exact(a, b)
 
-    def test_lp_cap_raises_before_building_cost(self, monkeypatch):
-        # 400 + 800 atoms pass the combined cap, but the 320k-entry LP does not
+    @pytest.fixture
+    def no_cost(self, monkeypatch):
         import swarmlab.transport as transport
 
         def no_cost(*args, **kwargs):
             raise AssertionError("cost matrix built past the LP cap")
 
         monkeypatch.setattr(transport, "cdist", no_cost)
+
+    def test_lp_cap_raises_before_building_cost(self, no_cost, rng):
+        # 400 + 800 atoms pass the combined cap, but the 320k-entry LP that
+        # non-uniform weights need does not
+        a = make_phase(400, seed=2, weights=rng.dirichlet(np.ones(400)))
         with pytest.raises(TooLarge, match="LP_CAP"):
-            w1_exact(make_phase(400, seed=2), make_phase(800, seed=3))
+            w1_exact(a, make_phase(800, seed=3))
+
+    def test_uniform_past_replica_bound_hits_lp_cap(self, no_cost):
+        # uniform, but lcm(401, 800) = 320,800 replicas is past EXACT_CAP, so
+        # the pair falls back to the LP and its 320,800 plan entries
+        assert math.lcm(401, 800) > EXACT_CAP
+        with pytest.raises(TooLarge, match="LP_CAP"):
+            w1_exact(make_phase(401, seed=2), make_phase(800, seed=3))
 
     def test_plan_marginals_and_value(self, rng):
         a = make_phase(9, seed=4, weights=rng.dirichlet(np.ones(9)))
@@ -137,6 +152,54 @@ class TestW1Exact:
         sph = make_sphere(6, d=2, r=1.0, seed=10)
         phs = PhaseEnsemble(x=sph.x, v=sph.v, w=sph.w)
         assert w1_exact(sph, phs).value == 0.0
+
+
+def _plan_marginals_and_cost(rep, a, b):
+    i, j, mass = (np.array(col) for col in zip(*rep.plan))
+    i, j = i.astype(int), j.astype(int)
+    rows = np.bincount(i, weights=mass, minlength=a.n)
+    cols = np.bincount(j, weights=mass, minlength=b.n)
+    marginal = max(float(np.max(np.abs(rows - a.w))), float(np.max(np.abs(cols - b.w))))
+    pa, pb = np.hstack([a.x, a.v]), np.hstack([b.x, b.v])
+    cost = float(np.sum(mass * np.linalg.norm(pa[i] - pb[j], axis=1)))
+    return marginal, cost
+
+
+class TestUniformReplicatedAssignment:
+    """Uniform n != m pairs with lcm(n, m) <= EXACT_CAP solve one assignment
+    on replicated atoms; it must reach the transport LP's optimum."""
+
+    @pytest.mark.parametrize("n,m,solver", [
+        (3, 5, "assignment"), (4, 6, "assignment"), (60, 90, "assignment"),
+        (37, 61, "lp"),   # lcm 2257 is past the replica bound
+    ])
+    def test_agrees_with_lp(self, n, m, solver):
+        a, b = make_phase(n, seed=n), make_phase(m, seed=1000 + m)
+        rep = w1_exact(a, b)
+        assert rep.solver == solver
+        lp = _w1_lp(cdist(np.hstack([a.x, a.v]), np.hstack([b.x, b.v])), a.w, b.w)
+        assert abs(rep.value - lp.value) <= 1e-12
+        marginal, cost = _plan_marginals_and_cost(rep, a, b)
+        assert marginal <= 1e-12
+        assert abs(cost - rep.value) <= 1e-12
+        assert rep.residual <= 1e-12
+        if solver == "assignment":   # measured from the folded plan, not assumed
+            assert rep.residual == marginal
+
+    def test_plan_sorted_without_duplicates(self):
+        rep = w1_exact(make_phase(4, seed=1), make_phase(6, seed=2))
+        keys = [(i, j) for i, j, _ in rep.plan]
+        assert keys == sorted(set(keys))
+        assert rep.iterations == 12
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 12), seed=st.integers(0, 10**6))
+    def test_value_matches_lp(self, n, m, seed):
+        a, b = make_phase(n, seed=seed), make_phase(m, seed=seed + 1)
+        rep = w1_exact(a, b)
+        assert rep.solver == "assignment"
+        lp = _w1_lp(cdist(np.hstack([a.x, a.v]), np.hstack([b.x, b.v])), a.w, b.w)
+        assert abs(rep.value - lp.value) <= 1e-12
 
 
 class TestConvergenceStudy:
