@@ -119,13 +119,17 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _is_seed(value) -> bool:  # a seed is a Philox key word, a uint64
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
+
+
 # (what a value must be, its test, the config values it applies to where given)
 _VALUE_KINDS = (
     ("a number", _is_number,
      "model.alpha model.beta model.eps init.L0 init.r0 init.R0 integrator.T roots.A"),
     ("a positive number", lambda v: _is_number(v) and v > 0, "integrator.dt"),
-    ("a nonnegative integer", lambda v: isinstance(v, int) and not isinstance(v, bool)
-     and v >= 0, "init.dim init.seed"),
+    ("2 or 3", lambda v: isinstance(v, int) and v in (2, 3), "init.dim"),
+    ("an integer in [0, 2**64)", _is_seed, "init.seed"),
     ("a positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
      "init.n integrator.stride"),
     ("a boolean", lambda v: isinstance(v, bool), "integrator.diffusion"),
@@ -142,7 +146,7 @@ _VALUE_KINDS = (
 
 
 # every key a config section may hold (the entries of kernels.params are
-# family-specific and checked by the kernel family)
+# family-specific: builtin_kernels rejects those its family does not take)
 _KNOWN_KEYS = {name for _, _, names in _VALUE_KINDS for name in names.split()}
 
 
@@ -160,29 +164,18 @@ def _validate(cfg: RunConfig):
     if "input" in cfg.init and mode != "project":
         raise ValidationError(f"init.input is read only by project mode; "
                               f"{mode} samples its ensemble from init.n")
-    if mode in ("simulate-eps", "simulate-limit", "sweep", "project"):
+    if mode != "compare":
         _model_params(cfg, need_eps=(mode == "simulate-eps"))
+    if mode in ("simulate-eps", "simulate-limit", "sweep", "project"):
         if not (mode == "project" and cfg.init.get("input")):
             _init_ensemble_checks(cfg)
         _kernel_spec(cfg)
-    if mode in ("roots", "flow"):
-        _model_params(cfg, need_eps=False)
-    if mode == "roots":
-        if "A" not in cfg.roots or not cfg.roots.get("eps_list"):
-            raise ValidationError("roots mode needs roots.A and roots.eps_list")
-    if mode == "flow":
-        if not cfg.flow.get("v0_list") or not cfg.flow.get("s_list"):
-            raise ValidationError("flow mode needs flow.v0_list and flow.s_list")
-    if mode == "sweep":
-        eps_list = cfg.sweep.get("eps_list")
-        t_grid = cfg.sweep.get("t_grid")
-        if not eps_list or not t_grid:
-            raise ValidationError("sweep mode needs sweep.eps_list and sweep.t_grid")
-        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            raise ValidationError("sweep.eps_list must be strictly decreasing")
-    if mode == "compare":
-        if not (cfg.compare.get("file_a") and cfg.compare.get("file_b")):
-            raise ValidationError("compare mode needs compare.file_a and compare.file_b")
+    needs = {"roots": "roots.A roots.eps_list", "flow": "flow.v0_list flow.s_list",
+             "sweep": "sweep.eps_list sweep.t_grid", "compare": "compare.file_a compare.file_b"}
+    names = needs.get(mode, "").split()
+    if any(getattr(cfg, sec).get(key) in (None, [], "")
+           for sec, key in (name.split(".") for name in names)):
+        raise ValidationError(f"{mode} mode needs {' and '.join(names)}")
     if cfg.integrator["scheme"] != "strang":
         raise ValidationError(
             f"integrator.scheme must be 'strang', got {cfg.integrator['scheme']!r}")
@@ -288,9 +281,13 @@ def _moments_csv(traj) -> str:
 
 
 def load_snapshot(path: str) -> PhaseEnsemble:
-    """Read a snapshot file (JSON preferred: CSV carries no sphere radius)."""
-    text = Path(path).read_text()
-    return ensemble_from_json(text) if Path(path).suffix == ".json" else ensemble_from_csv(text)
+    """Read a snapshot file (JSON preferred: CSV carries no sphere radius);
+    a file that does not parse to a valid ensemble raises ParseError naming it."""
+    parse = ensemble_from_json if Path(path).suffix == ".json" else ensemble_from_csv
+    try:
+        return parse(Path(path).read_text())
+    except (SwarmError, UnicodeDecodeError) as exc:
+        raise ParseError(f"snapshot {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +369,7 @@ def _mode_flow(cfg, seed, formats):
 def _mode_compare(cfg, seed, formats):
     a = load_snapshot(cfg.compare["file_a"])
     b = load_snapshot(cfg.compare["file_b"])
-    rep = w1_exact(a, b)
-    doc = {
-        "value": rep.value,
-        "solver": rep.solver,
-        "iterations": rep.iterations,
-        "residual": rep.residual,
-        "plan": [[i, j, m] for (i, j, m) in rep.plan],
-    }
-    yield "w1_report.json", json.dumps(doc, indent=1)
+    yield "w1_report.json", json.dumps(vars(w1_exact(a, b)), indent=1)
 
 
 def _mode_sweep(cfg, seed, formats):
@@ -389,13 +378,13 @@ def _mode_sweep(cfg, seed, formats):
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
     eps_list = [float(e) for e in cfg.sweep["eps_list"]]
     t_grid = [float(t) for t in cfg.sweep["t_grid"]]
+    # the one place a t_grid becomes a horizon: its last point, at least a step
     base = _run_config(
         cfg, ModelParams(params.alpha, params.beta, eps_list[0]), spec, seed,
-        horizon=max(t_grid),
+        horizon=max(*t_grid, float(cfg.integrator["dt"])),
     )
     table = convergence_study(ens, eps_list, t_grid, base)
-    n, run_seed = table.metadata["n"], table.metadata["seed"]
-    rows = ([row["eps"], row["t"], row["w1"], n, run_seed, row["runtime_ms"]]
+    rows = ([row["eps"], row["t"], row["w1"], ens.n, seed, row["runtime_ms"]]
             for row in table.rows)
     yield "sweep.csv", csv_text(["eps", "t", "w1", "n", "seed", "runtime_ms"], rows)
 
@@ -415,8 +404,8 @@ def run(cfg: RunConfig, output_dir: str | None = None,
         seed: int | None = None) -> RunManifest:
     """Dispatch a validated config and write outputs plus a manifest."""
     seed = int(seed if seed is not None else cfg.init.get("seed", 0))
-    if seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    if not _is_seed(seed):
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed}")
     outdir = Path(output_dir or cfg.output.get("directory", "out"))
     formats = list(cfg.output.get("formats", ["csv"]))
     started = time.strftime("%Y-%m-%dT%H:%M:%S")

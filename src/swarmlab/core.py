@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBand, DimensionMismatch, ValidationError, ZeroVelocityParticle
+from .errors import (BadBand, DimensionMismatch, ParseError, ValidationError,
+                     ZeroVelocityParticle)
 
 MASS_TOL = 1e-12          # |sum(w) - 1| allowed at construction
 SPHERE_RADIUS_TOL = 1e-12  # relative deviation of |v| from r
@@ -121,7 +122,7 @@ class PhaseEnsemble:
 class MomentReport:
     mass: float
     momentum: np.ndarray
-    kinetic_energy: float   # sum_i w_i |v_i|^2
+    kinetic_energy: float   # (1/2) sum_i w_i |v_i|^2
     speed_min: float
     speed_max: float
     pos_radius_max: float
@@ -146,12 +147,13 @@ def project_measure(ens: PhaseEnsemble, r: float) -> PhaseEnsemble:
 
 def moments(ens: PhaseEnsemble) -> MomentReport:
     """Weighted moments and support diagnostics of an ensemble."""
-    speeds = ens.speeds()
+    speeds2 = np.sum(ens.v * ens.v, axis=1)
+    speeds = np.sqrt(speeds2)
     pos_r = np.sqrt(np.sum(ens.x * ens.x, axis=1))
     return MomentReport(
         mass=float(np.sum(ens.w)),
         momentum=np.sum(ens.w[:, None] * ens.v, axis=0),
-        kinetic_energy=float(np.sum(ens.w * speeds * speeds)),
+        kinetic_energy=0.5 * float(np.sum(ens.w * speeds2)),
         speed_min=float(np.min(speeds)),
         speed_max=float(np.max(speeds)),
         pos_radius_max=float(np.max(pos_r)),
@@ -194,23 +196,25 @@ def ensemble_from_csv(text: str, time: float = 0.0,
     """Parse the CSV particle table. CSV carries no header object, so the
     time and the sphere radius (None for a phase ensemble) are passed in.
     Columns are looked up by name, so extra diagnostic columns are
-    tolerated."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    tolerated; missing columns, ragged rows and non-numeric x, v, w cells
+    are ParseErrors."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()] or [""]
     header = lines[0].split(",")
     dim = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
-    if dim not in (2, 3):
-        raise ValidationError(f"unexpected CSV columns: {header}")
+    rows = [ln.split(",") for ln in lines[1:]]
     try:
+        if dim not in (2, 3):
+            raise ValueError(f"unexpected CSV columns: {header}")
         xi = [header.index(f"x{k + 1}") for k in range(dim)]
         vi = [header.index(f"v{k + 1}") for k in range(dim)]
         wi = header.index("w")
+        if {len(row) for row in rows} != {len(header)}:
+            raise ValueError(f"need particle rows of the header's {len(header)} cells")
+        table = np.array([[float(row[k]) for k in (*xi, *vi, wi)] for row in rows])
     except ValueError as exc:
-        raise ValidationError(f"unexpected CSV columns: {header}") from exc
-    rows = [ln.split(",") for ln in lines[1:]]
-    x = np.array([[float(row[k]) for k in xi] for row in rows])
-    v = np.array([[float(row[k]) for k in vi] for row in rows])
-    w = np.array([float(row[wi]) for row in rows])
-    return PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
+        raise ParseError(f"malformed CSV snapshot: {exc}") from exc
+    return PhaseEnsemble(x=table[:, :dim], v=table[:, dim:-1], w=table[:, -1],
+                         time=time, r=r)
 
 
 def ensemble_to_json(ens: PhaseEnsemble) -> str:
@@ -226,13 +230,15 @@ def ensemble_to_json(ens: PhaseEnsemble) -> str:
 
 
 def ensemble_from_json(text: str) -> PhaseEnsemble:
-    doc = json.loads(text)
-    head = doc["header"]
-    parts = doc["particles"]
-    x = np.array([p["x"] for p in parts], dtype=float)
-    v = np.array([p["v"] for p in parts], dtype=float)
-    w = np.array([p["w"] for p in parts], dtype=float)
-    return PhaseEnsemble(x=x, v=v, w=w, time=head["time"], r=head.get("r"))
+    """Parse a snapshot document; malformed ones raise ParseError."""
+    try:
+        doc = json.loads(text)
+        head, parts = doc["header"], doc["particles"]
+        x, v, w = (np.array([p[key] for p in parts], dtype=float) for key in "xvw")
+        time, r = head["time"], head.get("r")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed snapshot JSON: {exc!r}") from exc
+    return PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
 
 
 def config_hash(mapping) -> str:

@@ -82,17 +82,16 @@ class Trajectory:
             raise ValidationError("snapshot particle count changed mid-run")
 
     def snapshot_at(self, t: float):
-        tol = 0.5 * self.cfg.dt
-        for tk, snap in zip(self.times, self.snapshots):
-            if abs(tk - t) <= tol:
-                return snap
-        raise MissingSnapshot(f"no snapshot within dt/2 of t={t}")
+        k = _snapshot_index(self.times, t, self.cfg.dt)
+        if k is None:
+            raise MissingSnapshot(f"no snapshot within dt/2 of t={t}")
+        return self.snapshots[k]
 
 
-def total_energy(ens: PhaseEnsemble, spec: KernelSpec) -> float:
-    """Kinetic-plus-interaction energy of a snapshot of either regime."""
-    speeds2 = np.sum(ens.v * ens.v, axis=1)
-    return 0.5 * float(np.sum(ens.w * speeds2)) + interaction_energy(ens, spec)
+def _snapshot_index(times, t, dt):
+    """The snapshot-time rule: the index of the first of `times` within dt/2
+    of t, or None."""
+    return next((k for k, tk in enumerate(times) if abs(tk - t) <= 0.5 * dt), None)
 
 
 def _kick(op, v, tau, shot=None):
@@ -149,24 +148,28 @@ def snapshot_steps(cfg: SimConfig) -> list:
     return [0, *range(cfg.snapshot_stride, n_steps, cfg.snapshot_stride), n_steps]
 
 
+def unstored_times(t0: float, cfg: SimConfig, ts) -> list:
+    """The points of ts that `snapshot_at` would miss in a run started at t0."""
+    times = [t0 + k * cfg.dt for k in snapshot_steps(cfg)]
+    return [t for t in ts if _snapshot_index(times, t, cfg.dt) is None]
+
+
 def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
     """Push the initial ensemble through round(T/dt) steps, storing snapshots
     after the step counts of `snapshot_steps`. An ensemble without a radius
     runs the eps system, one with a radius its sphere limit."""
     steps = snapshot_steps(cfg)
     stored = set(steps)
-    times = [f_in.time]
     snaps = [f_in]
-    reports = [moments(f_in)]
-    energies = [total_energy(f_in, cfg.spec)]
     ens = f_in
     advance, op = _stepper(f_in, cfg)
     for k in range(steps[-1]):
         ens = advance(ens, cfg, k, op, f_in.time + (k + 1) * cfg.dt)
         if k + 1 in stored:
-            times.append(ens.time)
             snaps.append(ens)
-            reports.append(moments(ens))
-            energies.append(total_energy(ens, cfg.spec))
-    return Trajectory(cfg=cfg, times=tuple(times), snapshots=tuple(snaps),
-                      moment_reports=tuple(reports), energies=tuple(energies))
+    reports = [moments(snap) for snap in snaps]
+    energies = [rep.kinetic_energy + interaction_energy(snap, cfg.spec)
+                for snap, rep in zip(snaps, reports)]
+    return Trajectory(cfg=cfg, times=tuple(snap.time for snap in snaps),
+                      snapshots=tuple(snaps), moment_reports=tuple(reports),
+                      energies=tuple(energies))

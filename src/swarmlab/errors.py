@@ -31,7 +31,8 @@ class PoleSingularity(SwarmError):
 
 
 class TooLarge(SwarmError):
-    """Problem size exceeds the exact-solver cap; subsample instead."""
+    """Problem size exceeds a cap of the exact W1 solvers; the message names
+    the bound exceeded."""
 
 
 class DimensionMismatch(SwarmError):
@@ -43,7 +44,7 @@ class MissingSnapshot(SwarmError):
 
 
 class ParseError(SwarmError):
-    """Run configuration text could not be parsed."""
+    """Run configuration or snapshot text could not be parsed."""
 
 
 class ValidationError(SwarmError):

@@ -176,28 +176,29 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
     cucker_smale_weight:           h only (U = 0), params K, gamma.
     constant_weight:               h = K (U = 0), params K.
     zero_potential:                U = 0, h = 0.
+    Any other parameter raises BadKernelParams.
     """
     params = dict(params or {})
     if name == "zero_potential":
-        return KernelSpec(name=name, params=params, norm_U_hess=0.0,
+        spec = KernelSpec(name=name, params={}, norm_U_hess=0.0,
                           norm_grad_U=0.0, norm_h=0.0, norm_grad_h=0.0)
-    if name == "constant_weight":
+    elif name == "constant_weight":
         k = float(params.get("K", 1.0))
         if k <= 0:
             raise BadKernelParams(f"constant_weight needs K > 0, got {k}")
-        return KernelSpec(name=name, params={"K": k}, norm_U_hess=0.0,
+        spec = KernelSpec(name=name, params={"K": k}, norm_U_hess=0.0,
                           norm_grad_U=0.0, norm_h=k, norm_grad_h=0.0,
                           h=_constant_profile(k))
-    if name == "cucker_smale_weight":
+    elif name == "cucker_smale_weight":
         k = float(params.get("K", 1.0))
         gamma = float(params.get("gamma", 1.0))
         if k <= 0 or gamma <= 0:
             raise BadKernelParams(f"cucker_smale_weight needs K, gamma > 0, got {k}, {gamma}")
         h, dh, norm_h, norm_grad_h = _cucker_smale_family(k, gamma)
-        return KernelSpec(name=name, params={"K": k, "gamma": gamma},
+        spec = KernelSpec(name=name, params={"K": k, "gamma": gamma},
                           norm_U_hess=0.0, norm_grad_U=0.0, norm_h=norm_h,
                           norm_grad_h=norm_grad_h, h=h, dh=dh)
-    if name == "gaussian_attraction_repulsion":
+    elif name == "gaussian_attraction_repulsion":
         c_a = float(params.get("C_A", 1.0))
         l_a = float(params.get("l_A", 1.0))
         c_r = float(params.get("C_R", 0.0))
@@ -207,10 +208,15 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
         if c_a < 0 or c_r < 0:
             raise BadKernelParams("gaussian amplitudes C_A, C_R must be nonnegative")
         u, du, d2u, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
-        return KernelSpec(name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
+        spec = KernelSpec(name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
                           norm_U_hess=hess_bound, norm_grad_U=grad_bound,
                           norm_h=0.0, norm_grad_h=0.0, U=u, dU=du, d2U=d2u)
-    raise BadKernelParams(f"unknown kernel family {name!r}")
+    else:
+        raise BadKernelParams(f"unknown kernel family {name!r}")
+    if set(params) - set(spec.params):
+        raise BadKernelParams(f"{name} takes parameters {sorted(spec.params)}, "
+                              f"got {sorted(params)}")
+    return spec
 
 
 def compose_kernels(potential_spec: KernelSpec, weight_spec: KernelSpec) -> KernelSpec:

@@ -6,21 +6,19 @@ norm under which the field-gap estimate of `kernels.field_gap_bound` is
 stated. No entropic regularization anywhere: acceptance tests need exact
 optima.
 
-Routing. A pair of uniform-weight measures on n and m atoms is one min-cost
-assignment (shortest augmenting path) between L = lcm(n, m) replicas: each
-atom carries L/n or L/m unit masses, and the transportation polytope with
-those integer supplies and demands is totally unimodular, so the matching
-folded back into (i, j, mass) triples is an exact optimal plan. Equal counts
-are the case L = n. Non-uniform weights, and uniform pairs whose L exceeds
-EXACT_CAP, go through an exact transport LP (HiGHS).
-
-Past a size cap `w1_exact` raises TooLarge, naming the cap it hit.
-EXACT_CAP bounds the combined atom count of both solvers and the replica
-count L of the assignment; LP_CAP bounds the plan entries n*m of the LP,
-checked before any cost matrix is built. On random 2-D phase clouds
-(2-CPU Xeon, scipy 1.17.1) a 300x400 pair took 0.39 s as a 1200-replica
-assignment against 1.3 s as an LP, and 100x150 took 0.009 s against 0.13 s,
-at equal values; the LP took 5.0 s for 500x600.
+Routing, decided once by `exact_solver` before any cost matrix is built.
+EXACT_CAP is the atom count of one exact solve. Uniform weights on n and m
+atoms with L = lcm(n, m) <= EXACT_CAP are one min-cost assignment (shortest
+augmenting path) between L replicas: each atom carries L/n or L/m unit
+masses, and the transportation polytope with those integer supplies and
+demands is totally unimodular, so the matching folded back into (i, j, mass)
+triples is an exact optimal plan. Equal counts are the case L = n. Every
+other pair takes an exact transport LP (HiGHS) within n + m <= EXACT_CAP and
+n*m <= LP_CAP plan entries; past those TooLarge names the bound exceeded.
+On random 2-D phase clouds (2-CPU Xeon, scipy 1.17.1) the assignment took
+0.35 s at 1500x1500 and 0.89 s at 1024 vs 2048; a 300x400 pair took 0.39 s
+as a 1200-replica assignment against 1.3 s as an LP, which took 5.0 s at
+500x600.
 """
 
 from __future__ import annotations
@@ -36,18 +34,18 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
-from .core import ModelParams, project_measure
+from .core import project_measure
 from .errors import (
     DimensionMismatch,
     MissingSnapshot,
     TooLarge,
     ValidationError,
 )
-from .eps_dynamics import SimConfig, simulate, snapshot_steps
+from .eps_dynamics import SimConfig, simulate, unstored_times
 from .kernels import acceleration
 from .relaxation import solve_roots
 
-EXACT_CAP = 2048  # combined atoms of both solvers; replicas of the assignment
+EXACT_CAP = 2048  # atoms in one exact solve: replicas L, or n + m for the LP
 LP_CAP = 300_000  # plan entries n*m of the transport LP
 
 
@@ -59,36 +57,39 @@ def _worker_count() -> int:
 
 
 @dataclass(frozen=True)
-class W1Report:
+class W1Report:  # field order is the key order of compare's w1_report.json
     value: float
-    plan: tuple          # (i, j, mass) triples
     solver: str          # "assignment" | "lp"
     iterations: int
     residual: float      # worst marginal violation of the plan
+    plan: tuple          # (i, j, mass) triples
 
 
 def _points(ens) -> np.ndarray:
     return np.hstack([ens.x, ens.v])
 
 
+def exact_solver(w_mu, w_nu) -> str:
+    """The exact solver for measures with weight vectors w_mu and w_nu:
+    "assignment" for uniform weights with lcm(n, m) <= EXACT_CAP, else "lp"
+    within n + m <= EXACT_CAP and n*m <= LP_CAP; TooLarge past those."""
+    n, m = len(w_mu), len(w_nu)
+    if (math.lcm(n, m) <= EXACT_CAP
+            and np.all(w_mu == w_mu[0]) and np.all(w_nu == w_nu[0])):
+        return "assignment"
+    if n + m <= EXACT_CAP and n * m <= LP_CAP:
+        return "lp"
+    raise TooLarge(f"{n}+{m} atoms exceed EXACT_CAP, the {EXACT_CAP} atoms of one exact solve"
+                   if n + m > EXACT_CAP else
+                   f"{n}x{m} transport plan exceeds LP_CAP, the LP's {LP_CAP} plan entries")
+
+
 def w1_exact(mu, nu) -> W1Report:
-    """Exact W1 distance with an optimal plan."""
+    """Exact W1 distance with an optimal plan, from the solver `exact_solver` picks."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"phase dimensions differ: {mu.dim} vs {nu.dim}")
-    n, m = mu.n, nu.n
-    if n + m > EXACT_CAP:
-        raise TooLarge(
-            f"{n}+{m} particles exceed EXACT_CAP, the exact solvers' "
-            f"budget of {EXACT_CAP} combined atoms"
-        )
-    replicas = math.lcm(n, m)
-    if replicas <= EXACT_CAP and np.all(mu.w == mu.w[0]) and np.all(nu.w == nu.w[0]):
-        return _w1_assignment(_points(mu), _points(nu), replicas)
-    if n * m > LP_CAP:
-        raise TooLarge(
-            f"{n}x{m} transport plan exceeds LP_CAP, the LP's budget "
-            f"of {LP_CAP} plan entries"
-        )
+    if exact_solver(mu.w, nu.w) == "assignment":
+        return _w1_assignment(_points(mu), _points(nu), math.lcm(mu.n, nu.n))
     return _w1_lp(cdist(_points(mu), _points(nu)), mu.w, nu.w)
 
 
@@ -143,10 +144,9 @@ def _w1_lp(cost, w_mu, w_nu) -> W1Report:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Rows of (eps, t, w1, runtime_ms) plus run provenance."""
+    """Rows of (eps, t, w1, runtime_ms)."""
 
     rows: tuple
-    metadata: dict
 
     def __post_init__(self):
         by_t = {}
@@ -164,28 +164,25 @@ class ConvergenceTable:
 
 
 def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTable:
-    """Run the stiff system at each eps and the sphere limit once, all from
-    the same initial atoms (the limit starts from the projected measure), and
-    tabulate W1 between matching snapshots. A t_grid point that no snapshot
-    lands within dt/2 of is rejected before anything is integrated."""
+    """Run the stiff system at each eps and the sphere limit once to cfg.T,
+    all from the same initial atoms (the limit starts from the projected
+    measure), and tabulate W1 between matching snapshots. A t_grid point no
+    snapshot lands within dt/2 of, or atoms past the exact W1 caps, are
+    rejected before anything is integrated."""
     eps_list = list(eps_list)
     t_grid = sorted(t_grid)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps_list must be strictly decreasing")
     if cfg.diffusion:
         raise ValidationError("convergence study compares the deterministic dynamics")
-    horizon = max(max(t_grid), cfg.dt)
-    base = replace(cfg, T=horizon)
-    snap_times = [f_in.time + k * base.dt for k in snapshot_steps(base)]
-    missing = [t for t in t_grid if min(abs(tk - t) for tk in snap_times) > 0.5 * base.dt]
+    missing = unstored_times(f_in.time, cfg, t_grid)
     if missing:
         raise ValidationError(f"t_grid points {missing} lie more than dt/2 from every snapshot "
-                              f"time (dt={base.dt}, stride={base.snapshot_stride})")
-    lim_traj = simulate(project_measure(f_in, base.params.r), base)
-    eps_trajs = {}
-    for eps in eps_list:
-        params = ModelParams(alpha=base.params.alpha, beta=base.params.beta, eps=eps)
-        eps_trajs[eps] = simulate(f_in, replace(base, params=params))
+                              f"time (dt={cfg.dt}, stride={cfg.snapshot_stride})")
+    exact_solver(f_in.w, f_in.w)  # every W1 pair has f_in's atom count and weights
+    lim_traj = simulate(project_measure(f_in, cfg.params.r), cfg)
+    eps_trajs = {eps: simulate(f_in, replace(cfg, params=replace(cfg.params, eps=eps)))
+                 for eps in eps_list}
 
     tasks = [(eps, t) for eps in eps_list for t in t_grid]
 
@@ -197,9 +194,7 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
         return {"eps": eps, "t": t, "w1": rep.value, "runtime_ms": ms}
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = tuple(pool.map(solve, tasks))
-    meta = {"n": f_in.n, "seed": cfg.rng_seed}
-    return ConvergenceTable(rows=rows, metadata=meta)
+        return ConvergenceTable(rows=tuple(pool.map(solve, tasks)))
 
 
 @dataclass(frozen=True)

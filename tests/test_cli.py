@@ -374,3 +374,100 @@ class TestRun:
         assert {Path(f).name for f in doc["files"]} == emitted
         from swarmlab.core import config_hash
         assert doc["config_hash"] == config_hash({**cfg.as_dict(), "seed": 1})
+
+
+SWEEP_16 = {
+    "mode": "sweep",
+    "model": {"alpha": 1.0, "beta": 1.0},
+    "kernels": {"name": "cucker_smale_weight"},
+    "init": {"n": 16, "dim": 2, "r0": 0.5, "R0": 1.5, "seed": 7,
+             "distribution": "uniform_annulus"},
+    "integrator": {"dt": 1e-2, "stride": 10},
+    "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.1]},
+}
+
+
+def _main_in(tmp_path, doc, *flags):
+    """Exit code of the CLI on `doc`, and whether it made its output directory."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    return main([doc["mode"], str(path), "--output", str(out), *flags]), out.exists()
+
+
+@pytest.fixture
+def no_simulate(monkeypatch):
+    import swarmlab.transport as transport
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate ran before the sweep's checks")
+
+    monkeypatch.setattr(transport, "simulate", no_run)
+
+
+class TestFailFast:
+    def test_misspelled_kernel_parameter_is_config_error(self, tmp_path):
+        doc = {**MINIMAL_EPS, "kernels": {"name": "cucker_smale_weight",
+                                          "params": {"K": 1.0, "gama": 5.0}}}
+        assert _main_in(tmp_path, doc) == (2, False)
+
+    @pytest.mark.parametrize("name,text", [
+        ("bad.json", "{oops"),
+        ("no_header.json", json.dumps({"particles": []})),
+        ("no_particles.json", json.dumps({"header": {"dim": 2, "time": 0.0}})),
+        ("word.csv", "id,x1,x2,v1,v2,w\n0,0.0,0.0,1.0,0.0,one\n"),
+        ("ragged.csv", "id,x1,x2,v1,v2,w\n0,0.0,0.0,1.0,0.0\n"),
+        ("long.csv", "id,x1,x2,v1,v2,w\n0,0.0,0.0,1.0,0.0,1.0,9\n"),
+        ("binary.json", b"\xff\xfe{"),
+        ("long_v.json", json.dumps({"header": {"time": 0.0}, "particles": [
+            {"x": [0.0, 0.0], "v": [1.0, 0.0, 0.0], "w": 1.0}]})),
+        ("empty.csv", ""),
+        ("columns.csv", "id,x1,x2,u1,u2,w\n0,0.0,0.0,1.0,0.0,1.0\n"),
+        ("mass.csv", "id,x1,x2,v1,v2,w\n0,0.0,0.0,1.0,0.0,0.5\n"),
+        ("at_rest.csv", "id,x1,x2,v1,v2,w\n0,0.0,0.0,0.0,0.0,1.0\n"),
+    ])
+    def test_malformed_snapshot_is_config_error(self, name, text, tmp_path, capsys):
+        bad = tmp_path / name
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        good = tmp_path / "good.json"
+        good.write_text(ensemble_to_json(build_initial_ensemble(
+            {"n": 4, "distribution": "on_sphere"}, ModelParams(1.0, 1.0, 0.05))))
+        out = tmp_path / "out"
+        assert main(["compare", str(bad), str(good), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert str(bad) in capsys.readouterr().err
+        with pytest.raises(ParseError):
+            load_snapshot(str(bad))
+
+    @pytest.mark.parametrize("flag", [2**64, 36893488147419103232])
+    def test_seed_flag_past_uint64_is_config_error(self, flag, tmp_path):
+        assert _main_in(tmp_path, MINIMAL_EPS, "--seed", str(flag)) == (2, False)
+
+    def test_config_seed_past_uint64_is_config_error(self, tmp_path):
+        doc = {**MINIMAL_EPS, "init": {**MINIMAL_EPS["init"], "seed": 2**64}}
+        with pytest.raises(ValidationError, match="init.seed"):
+            parse_config(json.dumps(doc))
+        assert _main_in(tmp_path, doc) == (2, False)
+
+    def test_largest_seed_runs(self, tmp_path):
+        assert _main_in(tmp_path, MINIMAL_EPS, "--seed", str(2**64 - 1)) == (0, True)
+
+    def test_dimension_other_than_2_or_3_is_config_error(self, tmp_path):
+        doc = {**MINIMAL_EPS, "init": {**MINIMAL_EPS["init"], "dim": 4}}
+        with pytest.raises(ValidationError, match="init.dim"):
+            parse_config(json.dumps(doc))
+
+    def test_sweep_past_exact_cap_exits_before_integrating(self, tmp_path, no_simulate):
+        doc = {**SWEEP_16, "init": {**SWEEP_16["init"], "n": 2049}}
+        assert _main_in(tmp_path, doc) == (3, False)
+
+    def test_sweep_eps_not_decreasing_exits_before_integrating(self, tmp_path, no_simulate):
+        doc = {**SWEEP_16, "sweep": {"eps_list": [0.04, 0.08], "t_grid": [0.0]}}
+        assert _main_in(tmp_path, doc) == (2, False)
+
+    def test_sweep_at_t0_only_runs(self, tmp_path):
+        doc = {**SWEEP_16, "sweep": {"eps_list": [0.08, 0.04, 0.02], "t_grid": [0.0]}}
+        assert _main_in(tmp_path, doc) == (0, True)
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["0.08", "0.0"], ["0.04", "0.0"], ["0.02", "0.0"]]

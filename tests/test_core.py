@@ -117,14 +117,14 @@ class TestMoments:
     def test_single_particle(self):
         ens = PhaseEnsemble(x=[[0.0, 0.0]], v=[[1.0, 0.0]], w=[1.0])
         rep = moments(ens)
-        assert rep.kinetic_energy == 1.0
+        assert rep.kinetic_energy == 0.5
         assert_allclose(rep.momentum, [1.0, 0.0])
 
     def test_symmetric_pair(self):
         ens = PhaseEnsemble(x=[[0, 0], [0, 0]], v=[[1, 0], [-1, 0]], w=[0.5, 0.5])
         rep = moments(ens)
         assert_allclose(rep.momentum, [0.0, 0.0], atol=1e-16)
-        assert rep.kinetic_energy == 1.0
+        assert rep.kinetic_energy == 0.5
 
     def test_against_fsum_oracle(self):
         ens = make_phase(100, d=3, seed=11)
@@ -133,8 +133,8 @@ class TestMoments:
         mass = math.fsum(float(wi) for wi in ens.w)
         mom = [math.fsum(float(ens.w[i] * ens.v[i, k]) for i in range(100))
                for k in range(3)]
-        kin = math.fsum(float(ens.w[i] * np.dot(ens.v[i], ens.v[i]))
-                        for i in range(100))
+        kin = 0.5 * math.fsum(float(ens.w[i] * np.dot(ens.v[i], ens.v[i]))
+                              for i in range(100))
         assert abs(rep.mass - mass) <= 1e-12
         assert_allclose(rep.momentum, mom, rtol=1e-12, atol=1e-15)
         assert abs(rep.kinetic_energy - kin) <= 1e-12 * abs(kin)

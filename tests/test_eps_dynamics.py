@@ -20,7 +20,7 @@ from swarmlab import (
     w1_exact,
 )
 from swarmlab.cli import build_initial_ensemble
-from swarmlab.eps_dynamics import SimConfig, total_energy
+from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import MissingSnapshot, ValidationError
 
 from conftest import make_phase

@@ -93,6 +93,17 @@ class TestBuiltins:
         with pytest.raises(BadKernelParams):
             builtin_kernels(name, params)
 
+    @pytest.mark.parametrize("name,params", [
+        ("cucker_smale_weight", {"K": 1.0, "gama": 5.0}),
+        ("constant_weight", {"K": 1.0, "gamma": 1.0}),
+        ("gaussian_attraction_repulsion", {"C_A": 1.0, "l_a": 2.0}),
+        ("zero_potential", {"K": 1.0}),
+    ])
+    def test_parameter_the_family_does_not_take_rejected(self, name, params):
+        # a misspelled key would otherwise leave its parameter at the default
+        with pytest.raises(BadKernelParams, match="takes parameters"):
+            builtin_kernels(name, params)
+
     def test_builtins_pass_evenness_check(self):
         for name in ("zero_potential", "constant_weight", "cucker_smale_weight"):
             validate_kernel(builtin_kernels(name))

@@ -49,12 +49,6 @@ class TestW1Exact:
         with pytest.raises(DimensionMismatch):
             w1_exact(make_phase(4, d=2), make_phase(4, d=3))
 
-    def test_too_large_names_the_cap(self):
-        a = make_phase(1500, seed=2)
-        b = make_phase(1500, seed=3)
-        with pytest.raises(TooLarge, match="EXACT_CAP"):
-            w1_exact(a, b)
-
     @pytest.fixture
     def no_cost(self, monkeypatch):
         import swarmlab.transport as transport
@@ -63,6 +57,26 @@ class TestW1Exact:
             raise AssertionError("cost matrix built past the LP cap")
 
         monkeypatch.setattr(transport, "cdist", no_cost)
+
+    def test_too_large_names_the_cap(self, no_cost, rng):
+        # weighted, so the LP's n + m bound applies: 1100 + 1000 > EXACT_CAP
+        a = make_phase(1100, seed=2, weights=rng.dirichlet(np.ones(1100)))
+        with pytest.raises(TooLarge, match="EXACT_CAP"):
+            w1_exact(a, make_phase(1000, seed=3))
+
+    @pytest.mark.parametrize("n,m", [(1500, 1500), (1024, 2048)])
+    def test_uniform_up_to_the_replica_bound_is_one_assignment(self, n, m):
+        # past n + m = EXACT_CAP, but lcm(n, m) <= EXACT_CAP replicas
+        a, b = make_phase(n, seed=2), make_phase(m, seed=3)
+        rep = w1_exact(a, b)
+        assert rep.solver == "assignment"
+        marginal, cost = _plan_marginals_and_cost(rep, a, b)
+        assert marginal <= 1e-12
+        assert abs(cost - rep.value) <= 1e-12
+
+    def test_uniform_past_both_bounds_names_exact_cap(self, no_cost):
+        with pytest.raises(TooLarge, match="EXACT_CAP"):
+            w1_exact(make_phase(2049, seed=2), make_phase(2049, seed=3))
 
     def test_lp_cap_raises_before_building_cost(self, no_cost, rng):
         # 400 + 800 atoms pass the combined cap, but the 320k-entry LP that
@@ -215,7 +229,6 @@ class TestConvergenceStudy:
         assert table.w1(0.1, 0.0) <= 1e-14
         assert table.w1(0.05, 0.0) <= 1e-14
         assert len(table.rows) == 4
-        assert table.metadata["n"] == 16
 
     def test_eps_order_enforced(self):
         params = ModelParams(1.0, 1.0, 0.1)
@@ -238,11 +251,38 @@ class TestConvergenceStudy:
         with pytest.raises(ValidationError, match="t_grid"):
             convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.05, 0.2], cfg)
 
+    def test_too_large_rejected_before_integration(self, monkeypatch):
+        import swarmlab.transport as transport
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate ran before the W1 size check")
+
+        monkeypatch.setattr(transport, "simulate", no_run)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+                        snapshot_stride=10, rng_seed=1)
+        with pytest.raises(TooLarge, match="EXACT_CAP"):
+            convergence_study(make_phase(2049, seed=12), [0.1, 0.05], [0.0, 0.1], cfg)
+
+    def test_runs_integrate_to_the_callers_horizon(self, monkeypatch):
+        import swarmlab.transport as transport
+
+        horizons = []
+
+        def recording(f_in, cfg):
+            horizons.append(cfg.T)
+            return simulate(f_in, cfg)
+
+        monkeypatch.setattr(transport, "simulate", recording)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=1.0,
+                        snapshot_stride=10, rng_seed=1)
+        table = convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], cfg)
+        assert horizons == [1.0, 1.0, 1.0]
+        assert len(table.rows) == 4
+
     def test_table_invariant(self):
         with pytest.raises(ValidationError):
             ConvergenceTable(rows=({"eps": 0.1, "t": 0.5, "w1": 1.0},
-                                   {"eps": 0.2, "t": 0.5, "w1": 1.0}),
-                             metadata={})
+                                   {"eps": 0.2, "t": 0.5, "w1": 1.0}))
 
 
 class TestEquicontinuityProbe:
