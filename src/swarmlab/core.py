@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,8 @@ class PhaseEnsemble:
             raise DimensionMismatch(f"velocity shape {v.shape} != position shape {x.shape}")
         if w.shape != (x.shape[0],):
             raise ValidationError(f"weights must be ({x.shape[0]},), got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("non-finite particle weights")
         if np.any(w < 0):
             raise ValidationError("weights must be nonnegative")
         if abs(float(np.sum(w)) - 1.0) > MASS_TOL:
@@ -218,26 +221,47 @@ def ensemble_from_csv(text: str, time: float = 0.0,
 
 
 def ensemble_to_json(ens: PhaseEnsemble) -> str:
-    doc = {
-        "header": {"dim": ens.dim, "time": ens.time, "r": ens.r},
-        "particles": [
-            {"id": i, "x": xi, "v": vi, "w": wi}
-            for i, (xi, vi, wi) in enumerate(zip(ens.x.tolist(), ens.v.tolist(),
-                                                 ens.w.tolist()))
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    """The snapshot document, as exactly the bytes of `json.dumps(doc, indent=1)`
+    for doc = {"header": {"dim", "time", "r"}, "particles": [{"id", "x", "v",
+    "w"}, ...]}. With `indent` set, `json.dumps` runs its pure-Python encoder,
+    so the particles are written instead through one %-template per particle.
+    `json` writes a float as `float.__repr__`, the function `%r` calls, and
+    x, v and w are finite, so the bytes agree. The header values still go
+    through `json.dumps`, which keeps an integer time or radius, and null."""
+    cells = ",\n    ".join(["%r"] * ens.dim)
+    particle = ('  {\n   "id": %d,\n   "x": [\n    ' + cells + '\n   ],\n   "v": [\n    '
+                + cells + '\n   ],\n   "w": %r\n  }')
+    rows = np.column_stack([ens.x, ens.v, ens.w]).tolist()
+    head = ('{\n "header": {\n  "dim": %d,\n  "time": %s,\n  "r": %s\n },\n "particles": [\n'
+            % (ens.dim, json.dumps(ens.time), json.dumps(ens.r)))
+    body = ",\n".join([particle % (i, *row) for i, row in enumerate(rows)])
+    return head + body + "\n ]\n}"
+
+
+def _finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
 
 
 def ensemble_from_json(text: str) -> PhaseEnsemble:
-    """Parse a snapshot document; malformed ones raise ParseError."""
+    """Parse a snapshot document; malformed ones raise ParseError. The header
+    must give the rows' dimension, a finite time, and a radius that is null
+    or positive. Header numbers are kept as parsed, not converted to float,
+    so an integer time or radius is written back with the same bytes."""
     try:
         doc = json.loads(text)
         head, parts = doc["header"], doc["particles"]
         x, v, w = (np.array([p[key] for p in parts], dtype=float) for key in "xvw")
-        time, r = head["time"], head.get("r")
+        dim, time, r = head["dim"], head["time"], head.get("r")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed snapshot JSON: {exc!r}") from exc
+    if not (type(dim) is int and x.shape[1:] == (dim,)):
+        raise ParseError(f"snapshot header dim {dim!r} does not match "
+                         f"particle positions of shape {x.shape}")
+    if not _finite_real(time):
+        raise ParseError(f"snapshot header time must be a finite number, got {time!r}")
+    if not (r is None or (_finite_real(r) and r > 0)):
+        raise ParseError(f"snapshot header r must be null or a positive number, got {r!r}")
     return PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
 
 

@@ -221,6 +221,23 @@ class TestRun:
         back = ensemble_from_csv(csv, r=1.0)
         assert back.n == 8
 
+    def test_limit_json_snapshots_are_encoder_bytes(self, tmp_path):
+        doc = {
+            "mode": "simulate-limit",
+            "model": {"alpha": 1.0, "beta": 1.0},
+            "kernels": {"name": "gaussian_attraction_repulsion",
+                        "params": {"C_A": 0.5, "l_A": 1.0, "C_R": 0.3, "l_R": 0.5}},
+            "init": {"n": 12, "dim": 3, "L0": 1.0, "distribution": "on_sphere", "seed": 5},
+            "integrator": {"T": 0.05, "dt": 1e-2, "stride": 1, "diffusion": True},
+            "output": {"formats": ["json"]},
+        }
+        run(parse_config(json.dumps(doc)), output_dir=str(tmp_path))
+        snaps = sorted(tmp_path.glob("snap_limit_*.json"))
+        assert len(snaps) == 6
+        for path in snaps:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=1)
+
     def test_roots_table(self, tmp_path):
         doc = {
             "mode": "roots",
@@ -387,6 +404,12 @@ SWEEP_16 = {
 }
 
 
+def _one_particle(**header):
+    """A one-particle 2-D snapshot document with the given header."""
+    return json.dumps({"header": header, "particles": [
+        {"id": 0, "x": [0.0, 0.0], "v": [1.0, 0.0], "w": 1.0}]})
+
+
 def _main_in(tmp_path, doc, *flags):
     """Exit code of the CLI on `doc`, and whether it made its output directory."""
     path = tmp_path / "cfg.json"
@@ -425,6 +448,20 @@ class TestFailFast:
         ("columns.csv", "id,x1,x2,u1,u2,w\n0,0.0,0.0,1.0,0.0,1.0\n"),
         ("mass.csv", "id,x1,x2,v1,v2,w\n0,0.0,0.0,1.0,0.0,0.5\n"),
         ("at_rest.csv", "id,x1,x2,v1,v2,w\n0,0.0,0.0,0.0,0.0,1.0\n"),
+        ("r_word.json", _one_particle(dim=2, time=0.0, r="one")),
+        ("r_bool.json", _one_particle(dim=2, time=0.0, r=True)),
+        ("r_inf.json", _one_particle(dim=2, time=0.0, r=float("inf"))),
+        ("time_word.json", _one_particle(dim=2, time="abc")),
+        ("time_bool.json", _one_particle(dim=2, time=True)),
+        ("time_list.json", _one_particle(dim=2, time=[1])),
+        ("time_nan.json", _one_particle(dim=2, time=float("nan"))),
+        ("dim_3_on_2d.json", _one_particle(dim=3, time=0.0)),
+        ("no_dim.json", _one_particle(time=0.0)),
+        ("dim_2_long_v.json", json.dumps({"header": {"dim": 2, "time": 0.0}, "particles": [
+            {"x": [0.0, 0.0], "v": [1.0, 0.0, 0.0], "w": 1.0}]})),
+        ("w_nan.json", json.dumps({"header": {"dim": 2, "time": 0.0}, "particles": [
+            {"x": [0.0, 0.0], "v": [1.0, 0.0], "w": float("nan")},
+            {"x": [0.0, 0.0], "v": [1.0, 0.0], "w": 1.0}]})),
     ])
     def test_malformed_snapshot_is_config_error(self, name, text, tmp_path, capsys):
         bad = tmp_path / name

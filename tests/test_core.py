@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -46,6 +47,11 @@ class TestEnsembles:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             PhaseEnsemble(x=[[0, 0], [0, 0]], v=[[1, 0], [1, 0]], w=[1.5, -0.5])
+
+    def test_nan_weight_rejected(self):
+        # nan slips past both the sign and the mass checks
+        with pytest.raises(ValidationError, match="non-finite particle weights"):
+            PhaseEnsemble(x=[[0, 0], [0, 0]], v=[[1, 0], [1, 0]], w=[math.nan, 1.0])
 
     def test_zero_velocity_rejected(self):
         with pytest.raises(ZeroVelocityParticle):
@@ -157,7 +163,56 @@ class TestSupportBand:
             support_in_band(make_phase(3), 2.0, 1.0)
 
 
+def _json_reference(ens):
+    """The snapshot document as the json encoder writes it: the bytes
+    ensemble_to_json must reproduce."""
+    doc = {
+        "header": {"dim": ens.dim, "time": ens.time, "r": ens.r},
+        "particles": [
+            {"id": i, "x": xi, "v": vi, "w": wi}
+            for i, (xi, vi, wi) in enumerate(zip(ens.x.tolist(), ens.v.tolist(),
+                                                 ens.w.tolist()))
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+# subnormals, signed zeros, huge values, and both sides of repr's switches
+# between positional and exponent form (below 1e-4, from 1e16)
+_EDGE_FLOATS = (5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0, 1e300, -1e300,
+                1e-4, 9.999999999999999e-05, 1e-5, -1e-5, 9999999999999998.0, 1e16,
+                -1e16, 1.0000000000000002e16)
+_coords = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestSerialization:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 40),
+           time=st.one_of(st.integers(-2**62, 2**62),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+           r=st.one_of(st.none(), st.integers(1, 10**6), st.floats(1e-100, 1e100)))
+    def test_json_is_the_encoder_bytes(self, data, d, n, time, r):
+        def table(cells):
+            return np.array(data.draw(st.lists(cells, min_size=n * d, max_size=n * d)),
+                            dtype=float).reshape(n, d)
+
+        x = table(_coords)
+        if r is None:
+            v = table(_coords)
+            v[np.all(v == 0.0, axis=1), 0] = 1.0
+        else:  # +-r along a drawn axis: exactly on the sphere
+            axes = np.array(data.draw(st.lists(st.integers(0, 2 * d - 1),
+                                               min_size=n, max_size=n)))
+            v = table(st.sampled_from([0.0, -0.0]))
+            v[np.arange(n), axes % d] = np.where(axes < d, r, -r)
+        rest = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS[:5] + (1e-5,)),
+                                            st.floats(0.0, 1 / 64)),
+                                  min_size=n - 1, max_size=n - 1))
+        w = [1.0 - math.fsum(rest), *rest]
+        ens = PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
+        assert ensemble_to_json(ens) == _json_reference(ens)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_csv_round_trip(self, d):
         ens = make_phase(17, d=d, seed=5)

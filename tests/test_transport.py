@@ -279,6 +279,27 @@ class TestConvergenceStudy:
         assert horizons == [1.0, 1.0, 1.0]
         assert len(table.rows) == 4
 
+    def test_each_distinct_snapshot_pair_is_solved_once(self, monkeypatch):
+        import swarmlab.transport as transport
+
+        pairs = []
+
+        def counting(mu, nu):
+            pairs.append((mu, nu))
+            return w1_exact(mu, nu)
+
+        monkeypatch.setattr(transport, "w1_exact", counting)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+                        snapshot_stride=10, rng_seed=1)
+        f_in = make_phase(8, seed=12)
+        table = convergence_study(f_in, [0.1, 0.05, 0.02], [0.0, 0.1], cfg)
+        # at t = 0 every eps run's snapshot is f_in: one solve for three rows
+        assert len(pairs) == 4
+        assert sum(mu is f_in for mu, _ in pairs) == 1
+        assert len(table.rows) == 6
+        at_t0 = [row for row in table.rows if row["t"] == 0.0]
+        assert len({(row["w1"], row["runtime_ms"]) for row in at_t0}) == 1
+
     def test_table_invariant(self):
         with pytest.raises(ValidationError):
             ConvergenceTable(rows=({"eps": 0.1, "t": 0.5, "w1": 1.0},
