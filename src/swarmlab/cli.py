@@ -115,8 +115,14 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite int or float that float() can hold: the handlers convert
+    config numbers with float(), which overflows past float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an int past float range
+        return False
 
 
 def _is_seed(value) -> bool:  # a seed is a Philox key word, a uint64

@@ -19,14 +19,19 @@ On random 2-D phase clouds (2-CPU Xeon, scipy 1.17.1) the assignment took
 0.35 s at 1500x1500 and 0.89 s at 1024 vs 2048; a 300x400 pair took 0.39 s
 as a 1200-replica assignment against 1.3 s as an LP, which took 5.0 s at
 500x600.
+
+`convergence_study` runs its independent trajectories, then its distinct W1
+solves, on SWARM_THREADS lanes (default 1): the calling thread is lane 0, and
+each trajectory or solve is computed whole on one lane by the same
+operations, so the table is byte-identical at any lane count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +59,39 @@ def _worker_count() -> int:
         return max(1, int(os.environ.get("SWARM_THREADS", "1")))
     except ValueError:
         return 1
+
+
+def _lanes_map(fn, items) -> list:
+    """[fn(item) for item in items] on lanes = min(_worker_count(), len(items))
+    threads, the calling thread lane 0: item k runs on lane k % lanes, each
+    lane in item order, and one lane starts no thread. A lane stops at its
+    first failure. Once every lane has finished, the first failing item's
+    exception in item order is raised, the one the serial loop would raise."""
+    items = list(items)
+    lanes = max(1, min(_worker_count(), len(items)))
+    results = [None] * len(items)
+    failed = {}  # item index -> its exception
+
+    def lane(first):
+        for k in range(first, len(items), lanes):
+            try:
+                results[k] = fn(items[k])
+            except BaseException as exc:  # re-raised by the caller below
+                failed[k] = exc
+                return
+
+    threads = [threading.Thread(target=lane, args=(i,), name=f"swarmlab-lane-{i}")
+               for i in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    try:
+        lane(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -168,7 +206,10 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
     all from the same initial atoms (the limit starts from the projected
     measure), and tabulate W1 between matching snapshots. A t_grid point no
     snapshot lands within dt/2 of, or atoms past the exact W1 caps, are
-    rejected before anything is integrated."""
+    rejected before anything is integrated. The runs [limit, *eps_list], then
+    the distinct snapshot pairs, are mapped over SWARM_THREADS lanes with the
+    caller as one of them (`_lanes_map`); a failing run or solve raises the
+    error of the first in that order, as a serial loop would."""
     eps_list = list(eps_list)
     t_grid = sorted(t_grid)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -180,9 +221,10 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
         raise ValidationError(f"t_grid points {missing} lie more than dt/2 from every snapshot "
                               f"time (dt={cfg.dt}, stride={cfg.snapshot_stride})")
     exact_solver(f_in.w, f_in.w)  # every W1 pair has f_in's atom count and weights
-    lim_traj = simulate(project_measure(f_in, cfg.params.r), cfg)
-    eps_trajs = {eps: simulate(f_in, replace(cfg, params=replace(cfg.params, eps=eps)))
-                 for eps in eps_list}
+    runs = [(project_measure(f_in, cfg.params.r), cfg)]
+    runs += [(f_in, replace(cfg, params=replace(cfg.params, eps=eps))) for eps in eps_list]
+    lim_traj, *trajs = _lanes_map(lambda run: simulate(*run), runs)
+    eps_trajs = dict(zip(eps_list, trajs))
 
     cells = [(eps, t, eps_trajs[eps].snapshot_at(t), lim_traj.snapshot_at(t))
              for eps in eps_list for t in t_grid]
@@ -195,8 +237,7 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
         value = w1_exact(*pair).value
         return value, 1000.0 * (time.perf_counter() - tic)
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        solved = dict(zip(pairs, pool.map(solve, pairs.values())))
+    solved = dict(zip(pairs, _lanes_map(solve, pairs.values())))
     rows = []
     for eps, t, a, b in cells:
         w1, ms = solved[id(a), id(b)]

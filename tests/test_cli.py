@@ -20,6 +20,7 @@ from swarmlab.cli import (
 from swarmlab.core import ModelParams, ensemble_from_csv, ensemble_to_json
 from swarmlab.errors import ParseError, ValidationError
 
+CONFIGS = Path(__file__).parent.parent / "configs"
 MINIMAL_EPS = {
     "mode": "simulate-eps",
     "model": {"alpha": 1.0, "beta": 1.0, "eps": 0.05},
@@ -54,7 +55,7 @@ class TestParseConfig:
         assert main(["simulate-eps", str(path), "--output", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
                              ids=lambda p: p.name)
     def test_shipped_configs_parse(self, path):
         assert parse_config(path.read_text()).mode == json.loads(path.read_text())["mode"]
@@ -347,7 +348,8 @@ class TestRun:
 
     def test_byte_identical_across_blas_threads(self, tmp_path):
         # the field is a BLAS matvec; N = 512 is large enough for OpenBLAS to
-        # split the product across two threads
+        # split the product across two threads. At SWARM_THREADS=2 two study
+        # lanes call OpenBLAS at once.
         doc = {
             "mode": "sweep",
             "model": {"alpha": 1.0, "beta": 1.0},
@@ -362,9 +364,10 @@ class TestRun:
         src = str(Path(swarmlab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        for blas, lanes in (("1", "1"), ("2", "1"), ("2", "2")):
+            out = tmp_path / f"blas{blas}-lanes{lanes}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "SWARM_THREADS": lanes,
+                   "PYTHONPATH": path}
             subprocess.run([sys.executable, "-m", "swarmlab.cli", "sweep", str(cfg_path),
                             "--output", str(out)], env=env, check=True,
                            capture_output=True)
@@ -381,7 +384,7 @@ class TestRun:
                 blobs[p.name] = data
             outputs.append(blobs)
         assert "sweep.csv" in outputs[0]
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_manifest_lists_all_files_and_hash_recomputes(self, tmp_path):
         cfg = parse_config(json.dumps(MINIMAL_EPS))
@@ -485,6 +488,19 @@ class TestFailFast:
         with pytest.raises(ValidationError, match="init.seed"):
             parse_config(json.dumps(doc))
         assert _main_in(tmp_path, doc) == (2, False)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("flow", "s_list", [10**400]),
+        ("model", "alpha", 10**400),
+    ])
+    def test_number_past_float_range_is_config_error(self, section, key, value, tmp_path,
+                                                     capsys):
+        doc = json.loads((CONFIGS / "flow.json").read_text())
+        doc[section] = {**doc[section], key: value}
+        with pytest.raises(ValidationError, match=f"{section}.{key}"):
+            parse_config(json.dumps(doc))
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_largest_seed_runs(self, tmp_path):
         assert _main_in(tmp_path, MINIMAL_EPS, "--seed", str(2**64 - 1)) == (0, True)

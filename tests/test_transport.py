@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -304,6 +307,91 @@ class TestConvergenceStudy:
         with pytest.raises(ValidationError):
             ConvergenceTable(rows=({"eps": 0.1, "t": 0.5, "w1": 1.0},
                                    {"eps": 0.2, "t": 0.5, "w1": 1.0}))
+
+
+class TestStudyLanes:
+    """convergence_study's runs and W1 solves on SWARM_THREADS lanes."""
+
+    CFG = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+                    snapshot_stride=10, rng_seed=1)
+
+    @staticmethod
+    def _rows(table):
+        return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in table.rows]
+
+    def test_rows_equal_at_one_two_and_three_lanes(self, monkeypatch):
+        f_in = make_phase(16, seed=12)
+        tables = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("SWARM_THREADS", threads)
+            tables.append(self._rows(convergence_study(f_in, [0.1, 0.05, 0.02],
+                                                       [0.0, 0.1], self.CFG)))
+        assert len(tables[0]) == 6
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_one_lane_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started at SWARM_THREADS=1")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setenv("SWARM_THREADS", "1")
+        table = convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], self.CFG)
+        assert len(table.rows) == 4
+
+    def test_runs_use_at_most_one_lane_each_with_the_caller(self, monkeypatch):
+        import swarmlab.transport as transport
+
+        ran_on = set()
+
+        def recording(f_in, cfg):
+            ran_on.add(threading.current_thread())
+            return simulate(f_in, cfg)
+
+        monkeypatch.setattr(transport, "simulate", recording)
+        monkeypatch.setenv("SWARM_THREADS", "8")
+        convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], self.CFG)
+        assert len(ran_on) <= 3  # the limit run and two eps runs
+        assert threading.current_thread() in ran_on
+
+    def test_lanes_keep_item_order_under_fast_switching(self, monkeypatch):
+        from swarmlab.transport import _lanes_map
+
+        def square(k):
+            if k in (77, 150):
+                raise ValueError(f"item {k}")
+            return k * k
+
+        monkeypatch.setenv("SWARM_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _lanes_map(lambda k: k * k, range(200)) == [k * k for k in range(200)]
+            with pytest.raises(ValueError, match="item 77"):
+                _lanes_map(square, range(200))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_first_failing_run_in_order_raises(self, threads, monkeypatch):
+        import swarmlab.transport as transport
+
+        ran_on = set()
+
+        def failing(f_in, cfg):
+            ran_on.add(threading.current_thread())
+            if cfg.params.eps == 0.05:
+                time.sleep(0.05)  # fails after the later run 0.02 has failed
+                raise ValidationError("run at eps 0.05 failed")
+            if cfg.params.eps == 0.02:
+                raise ValidationError("run at eps 0.02 failed")
+            return simulate(f_in, cfg)
+
+        monkeypatch.setattr(transport, "simulate", failing)
+        monkeypatch.setenv("SWARM_THREADS", threads)
+        with pytest.raises(ValidationError, match="eps 0.05"):
+            convergence_study(make_phase(8, seed=12), [0.1, 0.05, 0.02], [0.0, 0.1],
+                              self.CFG)
+        assert not any(t.is_alive() for t in ran_on - {threading.current_thread()})
 
 
 class TestEquicontinuityProbe:
