@@ -15,7 +15,7 @@ from .core import (
     project_measure,
     support_in_band,
 )
-from .eps_dynamics import SimConfig, Trajectory, simulate, step
+from .eps_dynamics import SimConfig, Trajectory, simulate
 from .kernels import (
     FieldSample,
     KernelSpec,
@@ -37,7 +37,6 @@ from .relaxation import (
 from .sphere_dynamics import (
     laplace_beltrami_via_extension,
     spherical_coords_3d,
-    spherical_divergence_3d,
     spherical_laplacian_3d,
     tangential_projection,
     zero_hom_laplacian_formula,

@@ -110,10 +110,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(cfg.as_dict(), sort_keys=True, indent=1)
-
-
 def _is_number(value) -> bool:
     """A finite int or float that float() can hold: the handlers convert
     config numbers with float(), which overflows past float range."""
@@ -470,6 +466,9 @@ def main(argv=None) -> int:
         return 2
     except _RUNTIME_ERRORS as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. an N x N pair buffer past the machine
+        print(f"numeric abort: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -21,10 +21,9 @@ The diffusive variant adds, per half-kick, an increment sqrt(2) N(0, (dt/2) I)
 drawn from a counter-based stream keyed by (seed, step), so trajectories are
 reproducible at any worker count.
 
-`simulate` and `step` integrate both regimes: an ensemble without a radius
-takes the splitting step above, one with a radius r (speeds fixed at r) the
-limit step of `sphere_dynamics`. Either way one PairOperator is carried
-through the run.
+`simulate` integrates both regimes: an ensemble without a radius takes the
+splitting step above, one with a radius r (speeds fixed at r) the limit step
+of `sphere_dynamics`. Either way one PairOperator is carried through the run.
 """
 
 from __future__ import annotations
@@ -133,12 +132,6 @@ def _advance(ens: PhaseEnsemble, cfg: SimConfig, step_index: int,
     v = _kick(op.build(x), v, 0.5 * dt, shots[1])
     v = free_flow(v, half_s, p)
     return PhaseEnsemble(x=x, v=v, w=ens.w, time=time)
-
-
-def step(ens: PhaseEnsemble, cfg: SimConfig, step_index: int = 0) -> PhaseEnsemble:
-    """One step of the regime `ens` lives in, with noise iff cfg.diffusion."""
-    advance, op = _stepper(ens, cfg)
-    return advance(ens, cfg, step_index, op, ens.time + cfg.dt)
 
 
 def snapshot_steps(cfg: SimConfig) -> list:

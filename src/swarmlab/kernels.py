@@ -4,10 +4,9 @@ The acceleration felt by particle i is the exact pairwise sum
 
     a_i = - sum_j w_j grad_U(x_i - x_j) + sum_j w_j h(x_i - x_j) (v_j - v_i)
 
-Every built-in kernel is radial, so a KernelSpec stores profiles of the
-squared distance s = rho^2 = |x|^2: U(s), U'(s) and h(s) (plus U''(s) and
-h'(s) for the Hessian and weight gradient). The vector evaluators are derived
-from them, e.g. grad_U(x) = 2 U'(|x|^2) x.
+Every built-in kernel is radial, so a KernelSpec stores the profiles of the
+squared distance s = rho^2 = |x|^2 that the pair sums evaluate: U(s), U'(s)
+and h(s), with grad_U(x) = 2 U'(|x|^2) x.
 
 A PairOperator evaluates the profiles once per position state, on the matrix
 s_ij = |x_i - x_j|^2 from scipy's cdist. It holds the potential force
@@ -39,14 +38,6 @@ from scipy.spatial.distance import cdist
 from .errors import BadKernelParams, ValidationError
 
 
-def _profile_at(profile, x):
-    """A radial profile evaluated at |x|^2 over the last axis of x; an absent
-    (None) profile is identically zero."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(np.sum(x * x, axis=-1))
-    return np.zeros(s.shape) if profile is None else profile(s)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """A radial potential/weight pair with certified bounds.
@@ -54,10 +45,6 @@ class KernelSpec:
     The profiles map squared distances s >= 0 to values of the same shape and
     may overwrite their argument (the pair build hands them a buffer it no
     longer needs). None stands for an identically zero profile.
-
-    The vector evaluators are vectorized over leading axes: potential and
-    align_weight map (..., d) -> (...), the gradients map (..., d) -> (..., d),
-    and hess_potential maps (d,) -> (d, d).
     """
 
     name: str
@@ -68,29 +55,7 @@ class KernelSpec:
     norm_grad_h: float
     U: Callable | None = None       # U(s)
     dU: Callable | None = None      # dU/ds
-    d2U: Callable | None = None     # d^2U/ds^2
     h: Callable | None = None       # h(s)
-    dh: Callable | None = None      # dh/ds
-
-    def potential(self, x):
-        return _profile_at(self.U, x)
-
-    def grad_potential(self, x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * _profile_at(self.dU, x)[..., None] * x
-
-    def hess_potential(self, x):
-        """2 U'(s) I + 4 U''(s) x x^T at a single point x."""
-        x = np.asarray(x, dtype=float)
-        return (2.0 * _profile_at(self.dU, x) * np.eye(x.shape[-1])
-                + 4.0 * _profile_at(self.d2U, x) * np.outer(x, x))
-
-    def align_weight(self, x):
-        return _profile_at(self.h, x)
-
-    def grad_align_weight(self, x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * _profile_at(self.dh, x)[..., None] * x
 
 
 @dataclass(frozen=True)
@@ -133,13 +98,12 @@ def _gaussian_family(c_a, l_a, c_r, l_r):
     a2, r2 = l_a**2, l_r**2
     u = _gaussian_sum([(-c_a, a2), (c_r, r2)])
     du = _gaussian_sum([(c_a / a2, a2), (-c_r / r2, r2)])
-    d2u = _gaussian_sum([(-c_a / a2**2, a2), (c_r / r2**2, r2)])
     # Single-Gaussian bounds attained at the origin (Hessian) and at
     # rho = ell/sqrt(2) (gradient); the sum is bounded by the triangle
     # inequality, exact whenever one amplitude is zero.
     hess_bound = 2 * c_a / l_a**2 + 2 * c_r / l_r**2
     grad_bound = math.sqrt(2.0) * math.exp(-0.5) * (c_a / l_a + c_r / l_r)
-    return u, du, d2u, hess_bound, grad_bound
+    return u, du, hess_bound, grad_bound
 
 
 def _cucker_smale_family(k, gamma):
@@ -150,16 +114,10 @@ def _cucker_smale_family(k, gamma):
         s **= gamma
         return np.divide(k, s, out=s)
 
-    def dh(s):
-        np.add(s, 1.0, out=s)
-        s **= -(gamma + 1.0)
-        s *= -gamma * k
-        return s
-
     # |grad h| = 2 gamma k rho (1+rho^2)^(-gamma-1) peaks at rho^2 = 1/(2 gamma + 1).
     rho_star = 1.0 / math.sqrt(2.0 * gamma + 1.0)
     grad_bound = 2.0 * gamma * k * rho_star * (1.0 + rho_star**2) ** (-(gamma + 1.0))
-    return h, dh, k, grad_bound
+    return h, k, grad_bound
 
 
 def _constant_profile(k):
@@ -172,9 +130,12 @@ def _constant_profile(k):
 def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
     """Construct one of the built-in kernel families.
 
-    gaussian_attraction_repulsion: U only (h = 0), params C_A, l_A, C_R, l_R.
-    cucker_smale_weight:           h only (U = 0), params K, gamma.
-    constant_weight:               h = K (U = 0), params K.
+    gaussian_attraction_repulsion: U(x) = -C_A exp(-|x|^2/l_A^2)
+                                          + C_R exp(-|x|^2/l_R^2), h = 0;
+                                   params C_A, l_A, C_R, l_R.
+    cucker_smale_weight:           h(x) = K / (1 + |x|^2)^gamma, U = 0;
+                                   params K, gamma.
+    constant_weight:               h = K, U = 0; params K.
     zero_potential:                U = 0, h = 0.
     Any other parameter raises BadKernelParams.
     """
@@ -194,10 +155,10 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
         gamma = float(params.get("gamma", 1.0))
         if k <= 0 or gamma <= 0:
             raise BadKernelParams(f"cucker_smale_weight needs K, gamma > 0, got {k}, {gamma}")
-        h, dh, norm_h, norm_grad_h = _cucker_smale_family(k, gamma)
+        h, norm_h, norm_grad_h = _cucker_smale_family(k, gamma)
         spec = KernelSpec(name=name, params={"K": k, "gamma": gamma},
                           norm_U_hess=0.0, norm_grad_U=0.0, norm_h=norm_h,
-                          norm_grad_h=norm_grad_h, h=h, dh=dh)
+                          norm_grad_h=norm_grad_h, h=h)
     elif name == "gaussian_attraction_repulsion":
         c_a = float(params.get("C_A", 1.0))
         l_a = float(params.get("l_A", 1.0))
@@ -207,10 +168,10 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
             raise BadKernelParams(f"gaussian scales must be positive, got l_A={l_a}, l_R={l_r}")
         if c_a < 0 or c_r < 0:
             raise BadKernelParams("gaussian amplitudes C_A, C_R must be nonnegative")
-        u, du, d2u, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
+        u, du, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
         spec = KernelSpec(name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
                           norm_U_hess=hess_bound, norm_grad_U=grad_bound,
-                          norm_h=0.0, norm_grad_h=0.0, U=u, dU=du, d2U=d2u)
+                          norm_h=0.0, norm_grad_h=0.0, U=u, dU=du)
     else:
         raise BadKernelParams(f"unknown kernel family {name!r}")
     if set(params) - set(spec.params):
@@ -227,21 +188,8 @@ def compose_kernels(potential_spec: KernelSpec, weight_spec: KernelSpec) -> Kern
         potential_spec,
         name=f"{potential_spec.name}+{weight_spec.name}",
         params={"potential": potential_spec.params, "weight": weight_spec.params},
-        h=weight_spec.h, dh=weight_spec.dh,
-        norm_h=weight_spec.norm_h, norm_grad_h=weight_spec.norm_grad_h,
+        h=weight_spec.h, norm_h=weight_spec.norm_h, norm_grad_h=weight_spec.norm_grad_h,
     )
-
-
-def validate_kernel(spec: KernelSpec, n_samples: int = 256, box: float = 5.0,
-                    seed: int = 0) -> None:
-    """Sampled sanity check: h >= 0 on squared distances up to those of the
-    box [-box, box]^3. Evenness (h(x) = h(-x)), which lets the pairwise
-    alignment sum conserve momentum, holds by construction for a radial h."""
-    if spec.h is None:
-        return
-    s = np.random.default_rng(seed).uniform(0.0, 3.0 * box * box, size=n_samples)
-    if np.any(spec.h(s) < 0):
-        raise BadKernelParams(f"{spec.name}: alignment weight is negative somewhere")
 
 
 class PairOperator:

@@ -35,7 +35,7 @@ RADICAND_GUARD = 1e-12  # relative guard band before declaring blow-up
 class RootTriple:
     """Roots of lambda_eps on the positive axis, with absence encoded as None.
 
-    For A < 0 (and eps below the fold threshold 2 alpha r / (|A| 3 sqrt(3))):
+    For A < 0 (and eps |A| below the fold threshold 2 alpha r / (3 sqrt(3))):
     0 < rho1 < r/sqrt(3) < rho2 < r. For A > 0: a single root rho3 > r.
     """
 
@@ -66,13 +66,15 @@ def solve_roots(eps: float, A: float, params: ModelParams) -> RootTriple:
     No Newton steps (the derivative vanishes at rho = r/sqrt(3))."""
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
+    if not math.isfinite(eps * A):
+        raise ValidationError(f"forcing eps*A overflows: eps={eps}, A={A}")
     r = params.r
     if A == 0.0:
         return RootTriple(rho1=0.0, rho2=r, rho3=r, A=A, eps=eps, validity=True)
     f = lambda rho: lambda_eps(rho, eps, A, params)
     if A < 0.0:
-        threshold = 2.0 * params.alpha * r / (abs(A) * 3.0 * math.sqrt(3.0))
-        if eps >= threshold:
+        # compared as a product: 1/(3 sqrt(3) |A|) underflows to 0 for huge A
+        if eps * abs(A) >= 2.0 * params.alpha * r / (3.0 * math.sqrt(3.0)):
             return RootTriple(rho1=None, rho2=None, rho3=None, A=A, eps=eps,
                               validity=False)
         knee = r / math.sqrt(3.0)

@@ -12,9 +12,9 @@ go through `eps_dynamics.simulate`, as eps runs do.
 The remaining operations are executable identities: the intrinsic Laplacian
 computed three ways (finite differences of the degree-zero homogeneous
 extension, the projected-Hessian formula, and the explicit 3D polar formula)
-must agree, as must the 3D divergence formula against symbolic oracles. The
-coordinate operations exclude a small band around the poles; the dynamics
-itself runs in Cartesian components and never touches a chart.
+must agree. The 3D chart angles label sphere snapshots; the Laplacian in the
+chart excludes a small band around the poles. The dynamics itself runs in
+Cartesian components and never touches a chart.
 """
 
 from __future__ import annotations
@@ -172,19 +172,6 @@ def sphere_point_3d(theta: float, phi: float, r: float) -> np.ndarray:
                          math.sin(theta)])
 
 
-def tangent_frame_3d(theta: float, phi: float):
-    """Coordinate frame (e_theta, e_phi) with |e_theta| = 1, |e_phi| = cos(theta)."""
-    if abs(math.sin(theta)) >= 1.0 - POLE_BAND:
-        raise PoleSingularity(f"frame undefined within {POLE_BAND} of a pole")
-    e_theta = np.array([-math.sin(theta) * math.cos(phi),
-                        -math.sin(theta) * math.sin(phi),
-                        math.cos(theta)])
-    e_phi = np.array([-math.cos(theta) * math.sin(phi),
-                      math.cos(theta) * math.cos(phi),
-                      0.0])
-    return e_theta, e_phi
-
-
 def _check_pole(theta):
     if abs(math.sin(theta)) >= 1.0 - POLE_BAND:
         raise PoleSingularity("operation excluded near the poles")
@@ -204,19 +191,3 @@ def spherical_laplacian_3d(F, theta: float, phi: float, r: float,
     d2_phi = (F(theta, phi + h) - 2.0 * f0 + F(theta, phi - h)) / (h * h)
     cos_t = math.cos(theta)
     return (d2_theta - math.tan(theta) * d_theta + d2_phi / (cos_t * cos_t)) / (r * r)
-
-
-def spherical_divergence_3d(xi_theta, xi_phi, theta: float, phi: float, r: float,
-                            step: float = 1e-4) -> float:
-    """(1/r) { (1/cos t) d_t(xi_theta cos t) + d_p xi_phi } for a tangent field
-    given through its frame components."""
-    _check_pole(theta)
-    h = step
-    cos_t = math.cos(theta)
-
-    def g(t):
-        return xi_theta(t, phi) * math.cos(t)
-
-    d_theta = (g(theta + h) - g(theta - h)) / (2.0 * h)
-    d_phi = (xi_phi(theta, phi + h) - xi_phi(theta, phi - h)) / (2.0 * h)
-    return (d_theta / cos_t + d_phi) / r

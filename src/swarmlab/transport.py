@@ -259,6 +259,9 @@ def equicontinuity_probe(trajectory, t_pairs) -> EquicontinuityReport:
     amplitude: A + beta (r + R0) R0 max((rho3 - r)/eps, (r - rho2)/eps) + R0."""
     ratios = []
     pairs = list(t_pairs)
+    if not pairs:
+        raise ValidationError("equicontinuity probe needs at least one (t, s) "
+                              "pair; the pair list is empty")
     for (t, s) in pairs:
         if t == s:
             raise ValidationError("equicontinuity ratio needs t != s")

@@ -23,6 +23,7 @@ from swarmlab.sphere_dynamics import sphere_point_3d
 from swarmlab.transport import equicontinuity_probe
 
 from conftest import make_phase
+from oracles import align_weight
 
 P11 = sl.ModelParams(alpha=1.0, beta=1.0, eps=0.01)
 CS = sl.builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
@@ -137,7 +138,7 @@ def test_criterion_04_momentum_energy_identities():
         lhs = float(np.sum(ens.w * np.sum(ens.v * a, axis=1)))
         dx = ens.x[:, None, :] - ens.x[None, :, :]
         rhs = -0.5 * float(np.sum(
-            ens.w[:, None] * ens.w[None, :] * CS.align_weight(dx)
+            ens.w[:, None] * ens.w[None, :] * align_weight(CS, dx)
             * np.sum((ens.v[:, None, :] - ens.v[None, :, :]) ** 2, axis=2)))
         worst_diss = max(worst_diss, abs(lhs - rhs) / abs(rhs))
     assert worst_mom <= 1e-13

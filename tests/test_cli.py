@@ -15,7 +15,6 @@ from swarmlab.cli import (
     main,
     parse_config,
     run,
-    serialize_config,
 )
 from swarmlab.core import ModelParams, ensemble_from_csv, ensemble_to_json
 from swarmlab.errors import ParseError, ValidationError
@@ -157,7 +156,7 @@ class TestParseConfig:
             "sweep": {"eps_list": [0.08, 0.04, 0.02], "t_grid": [0.0, 0.5]},
         }
         cfg = parse_config(json.dumps(doc))
-        again = parse_config(serialize_config(cfg))
+        again = parse_config(json.dumps(cfg.as_dict()))
         assert again == cfg
 
 
@@ -524,3 +523,22 @@ class TestFailFast:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [
             ["0.08", "0.0"], ["0.04", "0.0"], ["0.02", "0.0"]]
+
+    def test_out_of_memory_is_numeric_abort(self, tmp_path, monkeypatch, capsys):
+        # an N x N pair buffer past the machine's memory (init.n 200000 asks
+        # cdist for 298 GiB): patched, so nothing is allocated for real
+        from swarmlab.kernels import PairOperator
+
+        def no_memory(self, x):
+            raise MemoryError("Unable to allocate 298. GiB for the pair buffer")
+
+        monkeypatch.setattr(PairOperator, "build", no_memory)
+        assert _main_in(tmp_path, MINIMAL_EPS) == (3, False)
+        assert "numeric abort: out of memory" in capsys.readouterr().err
+
+    def test_roots_forcing_past_float_range_is_config_error(self, tmp_path, capsys):
+        # eps*A = 1e309 is inf: brentq would see NaN
+        doc = {"mode": "roots", "model": {"alpha": 1.0, "beta": 1.0},
+               "roots": {"A": 1e308, "eps_list": [10.0]}}
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert "eps*A" in capsys.readouterr().err

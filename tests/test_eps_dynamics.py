@@ -16,7 +16,6 @@ from swarmlab import (
     project_measure,
     simulate,
     solve_roots,
-    step,
     w1_exact,
 )
 from swarmlab.cli import build_initial_ensemble
@@ -24,6 +23,7 @@ from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import MissingSnapshot, ValidationError
 
 from conftest import make_phase
+from oracles import align_weight
 
 ZERO = builtin_kernels("zero_potential")
 CS = builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
@@ -51,7 +51,7 @@ class TestStep:
         p = ModelParams(4.0, 1.0, 0.05)  # r = 2
         ens = PhaseEnsemble(x=[[0.0, 0.0]], v=[[2.0, 0.0]], w=[1.0])
         cfg = cfgf(p, ZERO, dt=1e-2, T=1e-2)
-        out = step(ens, cfg)
+        out = simulate(ens, cfg).snapshots[-1]
         assert_allclose(out.v, [[2.0, 0.0]], rtol=0, atol=0)
         assert_allclose(out.x, [[0.02, 0.0]], rtol=0, atol=1e-18)
 
@@ -80,7 +80,7 @@ class TestStep:
             a = np.zeros((2, 2))
             for i in range(2):
                 for j in range(2):
-                    a[i] += w[j] * CS.align_weight(x[i] - x[j]) * (v[j] - v[i])
+                    a[i] += w[j] * align_weight(CS, x[i] - x[j]) * (v[j] - v[i])
                 a[i] += (1.0 - v[i] @ v[i]) * v[i] / p.eps
             return np.concatenate([v.ravel(), a.ravel()])
 
@@ -218,9 +218,9 @@ class TestDiffusive:
         ens = make_phase(8, seed=8)
         monkeypatch.setattr(noise, "gaussian_increments",
                             lambda seed, dom, k, shape: np.zeros(shape))
-        det = step(ens, SimConfig(params=p, spec=CS, dt=1e-3, T=1e-3))
-        sto = step(ens, SimConfig(params=p, spec=CS, dt=1e-3,
-                                  T=1e-3, diffusion=True))
+        det = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, T=1e-3)).snapshots[-1]
+        sto = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3,
+                                      T=1e-3, diffusion=True)).snapshots[-1]
         assert np.array_equal(det.v, sto.v)
         assert np.array_equal(det.x, sto.x)
 

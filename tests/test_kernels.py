@@ -15,9 +15,10 @@ from swarmlab import (
 from swarmlab.errors import BadKernelParams, ValidationError
 from swarmlab.core import ModelParams, project_measure
 from swarmlab.eps_dynamics import SimConfig, simulate
-from swarmlab.kernels import PairOperator, interaction_energy, validate_kernel
+from swarmlab.kernels import PairOperator, interaction_energy
 
 from conftest import make_phase
+from oracles import align_weight, grad_align_weight, grad_potential, hess_potential, potential
 
 GAUSSIAN = builtin_kernels("gaussian_attraction_repulsion",
                            {"C_A": 0.7, "l_A": 1.1, "C_R": 0.4, "l_R": 0.6})
@@ -36,22 +37,22 @@ class TestBuiltins:
         spec = builtin_kernels("zero_potential")
         assert spec.norm_U_hess == 0.0 and spec.norm_h == 0.0
         pts = np.random.default_rng(0).normal(size=(5, 2))
-        assert_allclose(spec.potential(pts), 0.0)
-        assert_allclose(spec.grad_potential(pts), 0.0)
+        assert_allclose(potential(spec, pts), 0.0)
+        assert_allclose(grad_potential(spec, pts), 0.0)
 
     def test_cucker_smale_peak_at_origin(self):
         spec = builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
-        assert spec.align_weight(np.zeros(2)) == 1.0
+        assert align_weight(spec, np.zeros(2)) == 1.0
         assert spec.norm_h == 1.0
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(200, 2)) * 3
-        assert np.all(spec.align_weight(pts) <= 1.0)
+        assert np.all(align_weight(spec, pts) <= 1.0)
 
     def test_cucker_smale_grad_bound_certified(self):
         spec = builtin_kernels("cucker_smale_weight", {"K": 2.0, "gamma": 1.5})
         rho = np.linspace(0, 10, 20001)
         pts = np.stack([rho, np.zeros_like(rho)], axis=1)
-        grads = np.linalg.norm(spec.grad_align_weight(pts), axis=1)
+        grads = np.linalg.norm(grad_align_weight(spec, pts), axis=1)
         assert np.max(grads) <= spec.norm_grad_h * (1 + 1e-12)
         assert np.max(grads) >= spec.norm_grad_h * (1 - 1e-6)
 
@@ -63,7 +64,7 @@ class TestBuiltins:
         grid = np.linspace(0.0, 6.0, 4001)
         worst = 0.0
         for rho in grid:
-            h = spec.hess_potential(np.array([rho, 0.0]))
+            h = hess_potential(spec, np.array([rho, 0.0]))
             worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
         assert worst == pytest.approx(2.0, rel=1e-9)
         assert spec.norm_U_hess == pytest.approx(2.0, rel=1e-12)
@@ -73,12 +74,12 @@ class TestBuiltins:
                                {"C_A": 0.8, "l_A": 1.2, "C_R": 0.5, "l_R": 0.4})
         grid = np.linspace(0.0, 8.0, 8001)
         worst = max(
-            float(np.max(np.abs(np.linalg.eigvalsh(spec.hess_potential(np.array([rho, 0.0]))))))
+            float(np.max(np.abs(np.linalg.eigvalsh(hess_potential(spec, np.array([rho, 0.0]))))))
             for rho in grid
         )
         assert worst <= spec.norm_U_hess * (1 + 1e-12)
         grads = np.linalg.norm(
-            spec.grad_potential(np.stack([grid, np.zeros_like(grid)], axis=1)), axis=1)
+            grad_potential(spec, np.stack([grid, np.zeros_like(grid)], axis=1)), axis=1)
         assert np.max(grads) <= spec.norm_grad_U * (1 + 1e-12)
 
     @pytest.mark.parametrize("name,params", [
@@ -105,11 +106,17 @@ class TestBuiltins:
             builtin_kernels(name, params)
 
     def test_builtins_pass_evenness_check(self):
+        # a radial h is even by construction, which lets the pairwise alignment
+        # sum conserve momentum; sample h >= 0 on squared distances of the box
+        # [-5, 5]^3 (the profile may overwrite its argument: pass a copy)
+        s = np.random.default_rng(0).uniform(0.0, 75.0, size=256)
         for name in ("zero_potential", "constant_weight", "cucker_smale_weight"):
-            validate_kernel(builtin_kernels(name))
+            spec = builtin_kernels(name)
+            assert spec.h is None or np.all(spec.h(s.copy()) >= 0)
 
     def test_gradient_consistency_central_differences(self):
-        # numerical gradient of U matches the evaluator to O(step^2)
+        # numerical gradient of the closed-form U matches the pair build's
+        # profile, grad_U(x) = 2 U'(|x|^2) x, to O(step^2)
         spec = builtin_kernels("gaussian_attraction_repulsion",
                                {"C_A": 1.0, "l_A": 1.0, "C_R": 0.6, "l_R": 0.5})
         rng = np.random.default_rng(3)
@@ -118,12 +125,12 @@ class TestBuiltins:
             worst = 0.0
             for _ in range(20):
                 x = rng.uniform(-2, 2, size=2)
-                g = spec.grad_potential(x)
+                g = 2.0 * spec.dU(np.array([x @ x]))[0] * x
                 fd = np.zeros(2)
                 for k in range(2):
                     e = np.zeros(2)
                     e[k] = step
-                    fd[k] = (spec.potential(x + e) - spec.potential(x - e)) / (2 * step)
+                    fd[k] = (potential(spec, x + e) - potential(spec, x - e)) / (2 * step)
                 worst = max(worst, float(np.max(np.abs(fd - g))))
             errs[step] = worst
         assert errs[1e-3] < 5e-6
@@ -157,8 +164,8 @@ class TestAcceleration:
         got = acceleration(ens, spec).a
         n = ens.n
         dx = ens.x[:, None, :] - ens.x[None, :, :]
-        grad = spec.grad_potential(dx)
-        h = spec.align_weight(dx)
+        grad = grad_potential(spec, dx)
+        h = align_weight(spec, dx)
         oracle = np.zeros((n, d))
         for i in range(n):
             for k in range(d):
@@ -184,7 +191,7 @@ class TestAcceleration:
             a = acceleration(ens, spec).a
             lhs = float(np.sum(ens.w * np.sum(ens.v * a, axis=1)))
             dx = ens.x[:, None, :] - ens.x[None, :, :]
-            hh = spec.align_weight(dx)
+            hh = align_weight(spec, dx)
             dv2 = np.sum((ens.v[:, None, :] - ens.v[None, :, :]) ** 2, axis=2)
             rhs = -0.5 * float(np.sum(ens.w[:, None] * ens.w[None, :] * hh * dv2))
             assert rhs <= 0
@@ -207,7 +214,7 @@ class TestAcceleration:
         ens = make_phase(30, seed=7)
         got = interaction_energy(ens, spec)
         oracle = 0.5 * math.fsum(
-            float(ens.w[i] * ens.w[j] * spec.potential(ens.x[i] - ens.x[j]))
+            float(ens.w[i] * ens.w[j] * potential(spec, ens.x[i] - ens.x[j]))
             for i in range(30) for j in range(30))
         assert got == pytest.approx(oracle, rel=1e-12)
 
@@ -280,8 +287,8 @@ class TestFieldGapBound:
                 u = rng.uniform(-R, R, size=2)
                 gap = np.zeros(2)
                 for ens, sign in ((f, 1.0), (g, -1.0)):
-                    pot = -np.sum(ens.w[:, None] * spec.grad_potential(z - ens.x), axis=0)
-                    ali = np.sum((ens.w * spec.align_weight(z - ens.x))[:, None]
+                    pot = -np.sum(ens.w[:, None] * grad_potential(spec, z - ens.x), axis=0)
+                    ali = np.sum((ens.w * align_weight(spec, z - ens.x))[:, None]
                                  * (ens.v - u), axis=0)
                     gap += sign * (pot + ali)
                 assert np.linalg.norm(gap) <= bound * w1 * (1 + 1e-9)

@@ -73,6 +73,16 @@ class TestRoots:
         assert triple.rho1 is None and triple.rho2 is None
         assert solve_roots(thr * 0.99, -1.0, P11).validity
 
+    def test_huge_forcing_far_below_fold_is_valid(self):
+        # eps*|A| = 1e-12, but 2 alpha r / (3 sqrt(3) |A|) alone underflows to 0
+        triple = solve_roots(1e-320, -1e308, P11)
+        assert triple.validity
+        assert triple.rho2 == pytest.approx(1.0, abs=1e-11)
+
+    def test_forcing_past_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="eps\\*A"):
+            solve_roots(10.0, 1e308, P11)
+
     def test_residuals_below_tolerance(self):
         for eps in (1e-5, 1e-3, 1e-1):
             for amp in (-2.0, -0.5, 0.7, 3.0):

@@ -13,20 +13,16 @@ from swarmlab import (
     laplace_beltrami_via_extension,
     simulate,
     spherical_coords_3d,
-    spherical_divergence_3d,
     spherical_laplacian_3d,
-    step,
     tangential_projection,
     zero_hom_laplacian_formula,
 )
 from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import PoleSingularity, ValidationError, ZeroVelocityParticle
-from swarmlab.sphere_dynamics import (
-    sphere_point_3d,
-    tangent_frame_3d,
-)
+from swarmlab.sphere_dynamics import sphere_point_3d
 
 from conftest import make_sphere
+from oracles import spherical_divergence_3d, tangent_frame_3d
 
 ZERO = builtin_kernels("zero_potential")
 CONST = builtin_kernels("constant_weight", {"K": 1.0})
@@ -61,7 +57,7 @@ class TestStepLimit:
         ens = make_sphere(8, d=2, r=1.5, seed=2)
         cfg = SimConfig(params=ModelParams(2.25, 1.0, 1.0), spec=ZERO,
                         dt=0.01, T=0.01)
-        out = step(ens, cfg)
+        out = simulate(ens, cfg).snapshots[-1]
         assert_allclose(out.v, ens.v, rtol=0, atol=0)
         assert_allclose(out.x, ens.x + 0.01 * ens.v, rtol=0, atol=0)
 
@@ -112,8 +108,8 @@ class TestStepLimitDiffusive:
                           dt=0.01, T=0.01, diffusion=True)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
                         dt=0.01, T=0.01)
-        a = step(ens, cfg_d)
-        b = step(ens, cfg)
+        a = simulate(ens, cfg_d).snapshots[-1]
+        b = simulate(ens, cfg).snapshots[-1]
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.x, b.x)
 

@@ -416,6 +416,14 @@ class TestEquicontinuityProbe:
         with pytest.raises(ValidationError):
             equicontinuity_probe(traj, [(0.0, 0.0)])
 
+    def test_empty_pair_list_rejected(self):
+        params = ModelParams(1.0, 1.0, 0.1)
+        traj = simulate(make_phase(6, seed=14),
+                        SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1,
+                                  snapshot_stride=5))
+        with pytest.raises(ValidationError, match="pair list is empty"):
+            equicontinuity_probe(traj, [])
+
     def test_well_prepared_ratio_below_constant(self):
         params = ModelParams(1.0, 1.0, 0.05)
         sph = make_sphere(32, d=2, r=1.0, seed=15)
