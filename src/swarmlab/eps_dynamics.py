@@ -23,7 +23,9 @@ reproducible at any worker count.
 
 `simulate` integrates both regimes: an ensemble without a radius takes the
 splitting step above, one with a radius r (speeds fixed at r) the limit step
-of `sphere_dynamics`. Either way one PairOperator is carried through the run.
+of `sphere_dynamics`. Either way each step takes one PairOperator built at its
+start positions and leaves it built at its end positions: K + 1 builds for K
+steps, and each snapshot's interaction energy comes with its build.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import noise
 from .core import ModelParams, PhaseEnsemble, moments
 from .errors import MissingSnapshot, ValidationError
-from .kernels import KernelSpec, PairOperator, interaction_energy
+from .kernels import KernelSpec, PairOperator
 from .relaxation import free_flow
 from .sphere_dynamics import advance_limit
 
@@ -58,6 +60,8 @@ class SimConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.T < self.dt:
             raise ValidationError(f"horizon T={self.T} shorter than one step dt={self.dt}")
+        if not self.T / self.dt < 2.0**63:   # false for inf and nan too
+            raise ValidationError(f"step count T/dt = {self.T / self.dt} must be below 2**63")
         if self.snapshot_stride < 1:
             raise ValidationError(f"snapshot stride must be >= 1, got {self.snapshot_stride}")
 
@@ -105,20 +109,10 @@ def _kick(op, v, tau, shot=None):
     return out
 
 
-def _stepper(ens: PhaseEnsemble, cfg: SimConfig):
-    """The step function of the regime `ens` lives in, and the pair operator a
-    run from `ens` starts with. The eps step's operator is built at ens.x,
-    since its first kick precedes the drift; the limit step builds its own."""
-    op = PairOperator(ens.w, cfg.spec)
-    if ens.r is not None:
-        return advance_limit, op
-    return _advance, op.build(ens.x)
-
-
 def _advance(ens: PhaseEnsemble, cfg: SimConfig, step_index: int,
              op: PairOperator, time: float) -> PhaseEnsemble:
-    """One Strang step to the new time `time`; `op` comes from `_stepper` or
-    the previous step, and is left built at the new positions."""
+    """One Strang step to the new time `time`; `op` is built at ens.x and is
+    left built at the new positions."""
     dt = cfg.dt
     p = cfg.params
     shots = (None, None)
@@ -153,16 +147,17 @@ def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
     runs the eps system, one with a radius its sphere limit."""
     steps = snapshot_steps(cfg)
     stored = set(steps)
-    snaps = [f_in]
+    advance = _advance if f_in.r is None else advance_limit
+    op = PairOperator(f_in.w, cfg.spec).build(f_in.x)
+    snaps, pair_energies = [f_in], [op.energy]
     ens = f_in
-    advance, op = _stepper(f_in, cfg)
     for k in range(steps[-1]):
         ens = advance(ens, cfg, k, op, f_in.time + (k + 1) * cfg.dt)
         if k + 1 in stored:
             snaps.append(ens)
+            pair_energies.append(op.energy)
     reports = [moments(snap) for snap in snaps]
-    energies = [rep.kinetic_energy + interaction_energy(snap, cfg.spec)
-                for snap, rep in zip(snaps, reports)]
+    energies = [rep.kinetic_energy + e for rep, e in zip(reports, pair_energies)]
     return Trajectory(cfg=cfg, times=tuple(snap.time for snap in snaps),
                       snapshots=tuple(snaps), moment_reports=tuple(reports),
                       energies=tuple(energies))

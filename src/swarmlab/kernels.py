@@ -5,22 +5,24 @@ The acceleration felt by particle i is the exact pairwise sum
     a_i = - sum_j w_j grad_U(x_i - x_j) + sum_j w_j h(x_i - x_j) (v_j - v_i)
 
 Every built-in kernel is radial, so a KernelSpec stores the profiles of the
-squared distance s = rho^2 = |x|^2 that the pair sums evaluate: U(s), U'(s)
-and h(s), with grad_U(x) = 2 U'(|x|^2) x.
+squared distance s = rho^2 = |x|^2 that the pair sums evaluate: U'(s) with
+the energy, and h(s), where grad_U(x) = 2 U'(|x|^2) x.
 
 A PairOperator evaluates the profiles once per position state, on the matrix
-s_ij = |x_i - x_j|^2 from scipy's cdist. It holds the potential force
+s_ij = |x_i - x_j|^2 from scipy's cdist (the package's only pair pass). It
+holds the energy (1/2) sum_ij w_i w_j U(s_ij), the potential force
 F_i = -2 (sum_j G_ij x_i - (G x)_i) with G_ij = w_j U'(s_ij), and the weighted
 alignment matrix H_ij = w_j h(s_ij) with its row sums, so every
 velocity-dependent field evaluation at those positions is one matvec,
 
     a = F + H v - rowsum(H) v.
 
-The j = i term is kept (grad_U(0) = 0 and the alignment difference
-vanishes), so the sums are branch-free. The cost is O(N^2) time per build and
-O(N^2) memory: H is one N x N float64 matrix, 8 N^2 bytes (8 MB at N = 1024,
-128 MB at N = 4096), built in place in the distance buffer. A kernel with both
-a potential and a weight holds a second N x N buffer while the force is built.
+The j = i term is kept (grad_U(0) = 0, the alignment difference vanishes, the
+empirical convolution keeps the self-pair energy), so the sums are
+branch-free. The cost is O(N^2) time per build and O(N^2) memory: H is one
+N x N float64 matrix, 8 N^2 bytes (8 MB at N = 1024, 128 MB at N = 4096),
+built in place in the distance buffer. A kernel with both a potential and a
+weight holds a second N x N buffer while the force is built.
 
 Every KernelSpec carries certified sup-norm bounds for its ingredients; the
 built-in families derive them in closed form.
@@ -42,9 +44,10 @@ from .errors import BadKernelParams, ValidationError
 class KernelSpec:
     """A radial potential/weight pair with certified bounds.
 
-    The profiles map squared distances s >= 0 to values of the same shape and
-    may overwrite their argument (the pair build hands them a buffer it no
-    longer needs). None stands for an identically zero profile.
+    The profiles take the matrix s of squared pair distances as a buffer the
+    pair build no longer needs: `potential(s, w)` overwrites s with U'(s) and
+    returns (1/2) sum_ij w_i w_j U(s_ij); `h(s)` returns h(s), in s or not.
+    None stands for an identically zero profile.
     """
 
     name: str
@@ -53,9 +56,8 @@ class KernelSpec:
     norm_grad_U: float
     norm_h: float
     norm_grad_h: float
-    U: Callable | None = None       # U(s)
-    dU: Callable | None = None      # dU/ds
-    h: Callable | None = None       # h(s)
+    potential: Callable | None = None   # (s, w) -> energy; s becomes U'(s)
+    h: Callable | None = None           # h(s)
 
 
 @dataclass(frozen=True)
@@ -71,39 +73,33 @@ class FieldSample:
         object.__setattr__(self, "a", arr)
 
 
-def _gaussian_sum(terms):
-    """Profile s -> sum of amp * exp(-s / ell2) over the (amp, ell2) terms with
-    a nonzero amplitude; the last term is computed in the buffer of s."""
-    terms = [(amp, ell2) for amp, ell2 in terms if amp != 0.0]
-
-    def profile(s):
-        acc = np.zeros(s.shape) if not terms else None
-        for k, (amp, ell2) in enumerate(terms):
-            t = s if k == len(terms) - 1 else s.copy()
-            np.divide(t, -ell2, out=t)
-            np.exp(t, out=t)
-            t *= amp
-            if acc is not None:
-                t += acc
-            acc = t
-        return acc
-
-    return profile
-
-
 def _gaussian_family(c_a, l_a, c_r, l_r):
     """U(x) = -c_a exp(-|x|^2/l_a^2) + c_r exp(-|x|^2/l_r^2), smooth and bounded
     with bounded derivatives of all orders (unlike the Morse potential, which
     is not twice differentiable at the origin)."""
-    a2, r2 = l_a**2, l_r**2
-    u = _gaussian_sum([(-c_a, a2), (c_r, r2)])
-    du = _gaussian_sum([(c_a / a2, a2), (-c_r / r2, r2)])
+    terms = [(amp, ell**2) for amp, ell in ((-c_a, l_a), (c_r, l_r)) if amp != 0.0]
+
+    def potential(s, w):
+        """Overwrite s with U'(s) and return (1/2) sum_ij w_i w_j U(s_ij); each
+        exponential is computed once, the last in the buffer of s."""
+        energy, du = 0.0, None
+        for k, (amp, ell2) in enumerate(terms):
+            e = s if k == len(terms) - 1 else s.copy()
+            np.divide(e, -ell2, out=e)
+            np.exp(e, out=e)
+            energy += amp * float(np.sum(np.einsum("ij,j->i", e, w) * w))
+            e *= -amp / ell2
+            if du is not None:
+                e += du
+            du = e
+        return 0.5 * energy
+
     # Single-Gaussian bounds attained at the origin (Hessian) and at
     # rho = ell/sqrt(2) (gradient); the sum is bounded by the triangle
     # inequality, exact whenever one amplitude is zero.
     hess_bound = 2 * c_a / l_a**2 + 2 * c_r / l_r**2
     grad_bound = math.sqrt(2.0) * math.exp(-0.5) * (c_a / l_a + c_r / l_r)
-    return u, du, hess_bound, grad_bound
+    return potential if terms else None, hess_bound, grad_bound
 
 
 def _cucker_smale_family(k, gamma):
@@ -168,10 +164,10 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
             raise BadKernelParams(f"gaussian scales must be positive, got l_A={l_a}, l_R={l_r}")
         if c_a < 0 or c_r < 0:
             raise BadKernelParams("gaussian amplitudes C_A, C_R must be nonnegative")
-        u, du, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
+        potential, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
         spec = KernelSpec(name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
                           norm_U_hess=hess_bound, norm_grad_U=grad_bound,
-                          norm_h=0.0, norm_grad_h=0.0, U=u, dU=du)
+                          norm_h=0.0, norm_grad_h=0.0, potential=potential)
     else:
         raise BadKernelParams(f"unknown kernel family {name!r}")
     if set(params) - set(spec.params):
@@ -195,16 +191,17 @@ def compose_kernels(potential_spec: KernelSpec, weight_spec: KernelSpec) -> Kern
 class PairOperator:
     """The pair sums of one frozen position state, for a fixed weight vector.
 
-    `build(x)` evaluates the force F and the weighted alignment matrix H at
-    positions x, reusing the N x N buffer of the previous build; `field(v)`
-    then costs one matvec. An operator belongs to one run: it is not shared
-    and not cached past it.
+    `build(x)` evaluates the interaction energy, the force F and the weighted
+    alignment matrix H at positions x, reusing the N x N buffer of the
+    previous build; `field(v)` then costs one matvec. An operator belongs to
+    one run: it is not shared and not cached past it.
     """
 
     def __init__(self, w, spec: KernelSpec):
         self.w = np.asarray(w, dtype=float)
         self.spec = spec
         self.force = None
+        self.energy = None
         self.H = None
         self.h_rowsum = None
         self._buf = None
@@ -213,11 +210,13 @@ class PairOperator:
         x = np.asarray(x, dtype=float)
         spec, w = self.spec, self.w
         self.force = np.zeros(x.shape)
-        if spec.dU is None and spec.h is None:
+        self.energy = 0.0
+        if spec.potential is None and spec.h is None:
             return self  # no N x N buffer: noise-only runs reach N = 10^4
         s = self._buf = cdist(x, x, "sqeuclidean", out=self._buf)
-        if spec.dU is not None:
-            g = spec.dU(s.copy() if spec.h is not None else s)
+        if spec.potential is not None:
+            g = s.copy() if spec.h is not None else s
+            self.energy = spec.potential(g, w)
             g *= w
             # F depends on differences only; centring x keeps the two sums
             # from cancelling when the swarm sits far from the origin
@@ -242,24 +241,11 @@ class PairOperator:
 def acceleration(ens, spec: KernelSpec) -> FieldSample:
     """Mean-field acceleration of every particle against the full ensemble,
     in either regime (with or without a sphere radius). The pair sums are BLAS
-    matrix products; their bytes do not depend on the BLAS thread count
-    (checked by the suite at 1 and 2 OpenBLAS threads).
+    matrix products, so their bytes can depend on the BLAS thread count.
     """
     a = PairOperator(ens.w, spec).build(ens.x).field(ens.v)
     sup = float(np.max(np.sqrt(np.sum(a * a, axis=1)))) if a.size else 0.0
     return FieldSample(a=a, sup_norm=sup)
-
-
-def interaction_energy(ens, spec: KernelSpec) -> float:
-    """Potential part of the total energy: (1/2) sum_ij w_i w_j U(x_i - x_j),
-    diagonal included (the empirical convolution keeps the self-pair)."""
-    if spec.U is None:
-        return 0.0
-    w = ens.w
-    u = spec.U(cdist(ens.x, ens.x, "sqeuclidean"))
-    u *= w
-    u *= w[:, None]
-    return 0.5 * float(np.sum(u))
 
 
 def field_gap_bound(spec: KernelSpec, R: float) -> float:

@@ -114,12 +114,15 @@ def free_flow(v, s: float, params: ModelParams) -> np.ndarray:
     Accepts a single velocity (d,) or a stack (n, d). Directions are
     preserved exactly (scalar multiple of the input); velocities already on
     the equilibrium sphere are returned unchanged. Raises FlowBlowup when s
-    lies at or below the backward blow-up time of some particle.
+    lies at or below the backward blow-up time of some particle, and
+    ValidationError when some |v|^2 is not finite.
     """
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
     vs = v[None, :] if single else v
     vv = np.sum(vs * vs, axis=1)
+    if not np.all(np.isfinite(vv)):
+        raise ValidationError("flow needs a finite |v|^2 for every particle")
     r2 = params.r**2
     if s >= 0.0:
         # q = |V|^(-2) r^2 |v|^2 rearranged to avoid e^(2 alpha s) overflow.

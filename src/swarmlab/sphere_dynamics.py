@@ -7,7 +7,7 @@ renormalize (the tangency of the projected drift makes the renormalization
 correction O(dt^2)); with diffusion it projects an ambient sqrt(2)-Gaussian
 increment the same way, which realizes the intrinsic sphere Laplacian as its
 weak generator (validated by the degree-1 eigenvalue test in the suite). Runs
-go through `eps_dynamics.simulate`, as eps runs do.
+go through `eps_dynamics.simulate` as eps runs do: one build, one matvec a step.
 
 The remaining operations are executable identities: the intrinsic Laplacian
 computed three ways (finite differences of the degree-zero homogeneous
@@ -64,8 +64,8 @@ def advance_limit(ens: PhaseEnsemble, cfg, step_index: int,
     `time`: transport by omega = v, then rotate omega by the projected field,
     plus, iff cfg.diffusion, a projected sqrt(2)-Gaussian increment (projected
     Euler-Maruyama: weak order 1 for drift plus intrinsic sphere diffusion).
-    `op` is rebuilt at ens.x; `cfg.params.eps` plays no role here."""
-    a = op.build(ens.x).field(ens.v)
+    `op` is built at ens.x and left built at x; `cfg.params.eps` plays no role."""
+    a = op.field(ens.v)
     xi = tangential_projection(a, ens.v)
     x = ens.x + cfg.dt * ens.v
     u = ens.v + cfg.dt * xi
@@ -76,6 +76,7 @@ def advance_limit(ens: PhaseEnsemble, cfg, step_index: int,
                                          step_index, ens.v.shape)
         u = u + math.sqrt(2.0 * cfg.dt) * tangential_projection(shot, ens.v)
     v = _renormalize(u, ens.v, ens.r)
+    op.build(x)
     return PhaseEnsemble(x=x, v=v, w=ens.w, time=time, r=ens.r)
 
 

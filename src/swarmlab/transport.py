@@ -127,18 +127,24 @@ def w1_exact(mu, nu) -> W1Report:
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"phase dimensions differ: {mu.dim} vs {nu.dim}")
     if exact_solver(mu.w, nu.w) == "assignment":
-        return _w1_assignment(_points(mu), _points(nu), math.lcm(mu.n, nu.n))
+        return _w1_assignment(mu, nu)
     return _w1_lp(cdist(_points(mu), _points(nu)), mu.w, nu.w)
 
 
-def _w1_assignment(a, b, replicas) -> W1Report:
+def _w1_assignment(mu, nu) -> W1Report:
     """Uniform measures on n and m atoms as one assignment between
     `replicas` = lcm(n, m) unit masses, folded back into (i, j, mass)
     triples sorted by (i, j) without duplicate pairs."""
-    n, m = len(a), len(b)
+    n, m = mu.n, nu.n
+    replicas = math.lcm(n, m)
+    # the cost matrix is allocated first, so that a freed pair buffer of its
+    # size (a sweep's run on the same lane) serves it before the small arrays
+    # below can split that block and the lane's heap grows by a whole matrix
+    cost = np.empty((replicas, replicas))
+    a, b = _points(mu), _points(nu)
     atom_a = np.repeat(np.arange(n), replicas // n)
     atom_b = np.repeat(np.arange(m), replicas // m)
-    cost = cdist(a[atom_a], b[atom_b])
+    cdist(a[atom_a], b[atom_b], out=cost)
     rows, cols = linear_sum_assignment(cost)
     value = float(np.sum(cost[rows, cols]) * (1.0 / replicas))
     pairs, counts = np.unique(atom_a[rows] * m + atom_b[cols], return_counts=True)

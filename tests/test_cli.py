@@ -346,9 +346,11 @@ class TestRun:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_byte_identical_across_blas_threads(self, tmp_path):
-        # the field is a BLAS matvec; N = 512 is large enough for OpenBLAS to
-        # split the product across two threads. At SWARM_THREADS=2 two study
-        # lanes call OpenBLAS at once.
+        # the field is a BLAS product, which OpenBLAS splits across two threads
+        # at N = 512. That split happens to give the one-thread bytes; at many
+        # other N it does not (an (N, 3) product differed for most N from 578
+        # to 699 at OpenBLAS 0.3.31, 1 vs 2 threads), so this checks N = 512
+        # only. At SWARM_THREADS=2 two study lanes call OpenBLAS at once.
         doc = {
             "mode": "sweep",
             "model": {"alpha": 1.0, "beta": 1.0},
@@ -500,6 +502,26 @@ class TestFailFast:
             parse_config(json.dumps(doc))
         assert _main_in(tmp_path, doc) == (2, False)
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_flow_speed_square_past_float_range_is_config_error(self, tmp_path, capsys):
+        # |v0|^2 = 1e400 overflows; the table would hold speed nan
+        doc = json.loads((CONFIGS / "flow.json").read_text())
+        doc["flow"] = {"v0_list": [1e200], "s_list": [0.0, 1.0]}
+        with np.errstate(over="ignore"):
+            assert _main_in(tmp_path, doc) == (2, False)
+        assert "finite |v|^2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {**MINIMAL_EPS, "integrator": {"dt": 1e-308, "T": 1e10}},
+        {**SWEEP_16, "integrator": {"dt": 1e-308},
+         "sweep": {"eps_list": [0.08], "t_grid": [0.0, 1e10]}},
+        {**MINIMAL_EPS, "integrator": {"dt": 1.0, "T": 1e300}},
+    ], ids=["inf-eps", "inf-sweep", "finite-1e300"])
+    def test_step_count_out_of_range_is_config_error(self, doc, tmp_path, capsys):
+        # T/dt = 1e318 is inf, which the snapshot-step rule cannot round; a
+        # finite 1e300 steps is past the range of a list index
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert "T/dt" in capsys.readouterr().err
 
     def test_largest_seed_runs(self, tmp_path):
         assert _main_in(tmp_path, MINIMAL_EPS, "--seed", str(2**64 - 1)) == (0, True)

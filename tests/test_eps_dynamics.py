@@ -43,6 +43,8 @@ class TestConfig:
             SimConfig(params=p, spec=ZERO, dt=1e-3, T=1e-4)
         with pytest.raises(ValidationError):
             SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, snapshot_stride=0)
+        with pytest.raises(ValidationError, match="T/dt"):
+            SimConfig(params=p, spec=ZERO, dt=1e-308, T=1e10)
 
 
 class TestStep:

@@ -15,7 +15,8 @@ from swarmlab import (
 from swarmlab.errors import BadKernelParams, ValidationError
 from swarmlab.core import ModelParams, project_measure
 from swarmlab.eps_dynamics import SimConfig, simulate
-from swarmlab.kernels import PairOperator, interaction_energy
+from swarmlab import kernels
+from swarmlab.kernels import PairOperator
 
 from conftest import make_phase
 from oracles import align_weight, grad_align_weight, grad_potential, hess_potential, potential
@@ -116,7 +117,7 @@ class TestBuiltins:
 
     def test_gradient_consistency_central_differences(self):
         # numerical gradient of the closed-form U matches the pair build's
-        # profile, grad_U(x) = 2 U'(|x|^2) x, to O(step^2)
+        # potential profile, grad_U(x) = 2 U'(|x|^2) x, to O(step^2)
         spec = builtin_kernels("gaussian_attraction_repulsion",
                                {"C_A": 1.0, "l_A": 1.0, "C_R": 0.6, "l_R": 0.5})
         rng = np.random.default_rng(3)
@@ -125,7 +126,9 @@ class TestBuiltins:
             worst = 0.0
             for _ in range(20):
                 x = rng.uniform(-2, 2, size=2)
-                g = 2.0 * spec.dU(np.array([x @ x]))[0] * x
+                s = np.array([[x @ x]])
+                spec.potential(s, np.ones(1))   # overwrites s with U'(s)
+                g = 2.0 * s[0, 0] * x
                 fd = np.zeros(2)
                 for k in range(2):
                     e = np.zeros(2)
@@ -212,34 +215,54 @@ class TestAcceleration:
         spec = builtin_kernels("gaussian_attraction_repulsion",
                                {"C_A": 1.0, "l_A": 1.0, "C_R": 0.2, "l_R": 0.5})
         ens = make_phase(30, seed=7)
-        got = interaction_energy(ens, spec)
+        got = PairOperator(ens.w, spec).build(ens.x).energy
         oracle = 0.5 * math.fsum(
             float(ens.w[i] * ens.w[j] * potential(spec, ens.x[i] - ens.x[j]))
             for i in range(30) for j in range(30))
         assert got == pytest.approx(oracle, rel=1e-12)
 
 
+K_STEPS = 5
+
+
+def _stride_2_run(limit):
+    """A K_STEPS-step run of the composed kernel at snapshot stride 2 (steps
+    0, 2, 4 and 5), in the eps regime or, with diffusion, its sphere limit."""
+    p = ModelParams(1.0, 1.0, 0.05)
+    ens = make_phase(16, seed=9)
+    return simulate(project_measure(ens, p.r) if limit else ens,
+                    SimConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
+                              T=K_STEPS * 1e-2, snapshot_stride=2, diffusion=limit))
+
+
 class TestPairOperator:
-    def test_one_build_per_position_state(self, monkeypatch):
-        builds = []
-        real_build = PairOperator.build
+    def test_one_pair_pass_per_position_state(self, monkeypatch):
+        # every pair pass is a cdist call, the interaction energy included:
+        # a K-step run of either regime visits K + 1 position states
+        passes = []
+        real_cdist = kernels.cdist
 
-        def counting_build(self, x):
-            builds.append(x.shape)
-            return real_build(self, x)
+        def counting_cdist(*args, **kwargs):
+            passes.append(args[0].shape)
+            return real_cdist(*args, **kwargs)
 
-        monkeypatch.setattr(PairOperator, "build", counting_build)
-        p = ModelParams(1.0, 1.0, 0.05)
-        k_steps = 5
-        simulate(make_phase(16, seed=9),
-                 SimConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
-                           T=k_steps * 1e-2, snapshot_stride=2))
-        assert len(builds) == k_steps + 1
-        builds.clear()
-        simulate(project_measure(make_phase(16, seed=9), p.r),
-                 SimConfig(params=p, spec=ORACLE_SPECS["composed"],
-                           dt=1e-2, T=k_steps * 1e-2, diffusion=True))
-        assert len(builds) == k_steps
+        monkeypatch.setattr(kernels, "cdist", counting_cdist)
+        for limit in (False, True):
+            passes.clear()
+            _stride_2_run(limit)
+            assert len(passes) == K_STEPS + 1, "limit" if limit else "eps"
+
+    @pytest.mark.parametrize("limit", [False, True], ids=["eps", "limit"])
+    def test_energies_match_double_sum(self, limit):
+        spec = ORACLE_SPECS["composed"]
+        traj = _stride_2_run(limit)
+        assert len(traj.snapshots) == 4   # steps 0, 2, 4 and the last, 5
+        for snap, energy in zip(traj.snapshots, traj.energies):
+            kinetic = 0.5 * math.fsum(snap.w * np.sum(snap.v * snap.v, axis=1))
+            dx = snap.x[:, None, :] - snap.x[None, :, :]
+            pair = 0.5 * math.fsum(
+                (snap.w[:, None] * snap.w[None, :] * potential(spec, dx)).ravel())
+            assert energy == pytest.approx(kinetic + pair, rel=1e-13)
 
     def test_rebuild_matches_fresh_build(self):
         # a rebuild reuses the N x N buffer; nothing of the old state survives
@@ -247,8 +270,9 @@ class TestPairOperator:
         a, b = make_phase(40, d=3, seed=1), make_phase(40, d=3, seed=2)
         op = PairOperator(a.w, spec).build(a.x)
         op.field(a.v)
-        again = op.build(b.x).field(b.v)
-        assert np.array_equal(again, PairOperator(b.w, spec).build(b.x).field(b.v))
+        fresh = PairOperator(b.w, spec).build(b.x)
+        assert np.array_equal(op.build(b.x).field(b.v), fresh.field(b.v))
+        assert op.energy == fresh.energy
 
 
 class TestFieldGapBound:

@@ -182,6 +182,15 @@ class TestFreeFlow:
         out = free_flow(v, s_star + 1e-3, P11)
         assert np.linalg.norm(out) > 10.0  # huge but finite near the blow-up
 
+    @pytest.mark.parametrize("v", [[1e200, 0.0], [np.inf, 0.0], [np.nan, 1.0]])
+    def test_non_finite_speed_square_rejected(self, v):
+        # |v|^2 = 1e400 overflows: q = vv + damp * (r2 - vv) would be inf - inf
+        batch = np.array([[0.5, 0.0], v])
+        for s in (0.0, 1.0, -0.1):
+            with pytest.raises(ValidationError, match="finite"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                free_flow(batch, s, P11)
+
     def test_vectorized_matches_rows(self, rng):
         vs = rng.standard_normal((7, 3))
         batch = free_flow(vs, 0.7, P11)
