@@ -50,8 +50,6 @@ from .relaxation import blowup_time, root_asymptotics, solve_roots, speed_flow
 from .sphere_dynamics import spherical_coords_3d
 from .transport import convergence_study, w1_exact
 
-MODES = ("simulate-eps", "simulate-limit", "compare", "sweep", "roots", "flow", "project")
-
 INTEGRATOR_DEFAULTS = {"dt": 1e-3, "stride": 100, "scheme": "strang", "diffusion": False}
 FORMATS = ("csv", "json")
 
@@ -99,11 +97,15 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(f"unknown config sections: {sorted(unknown)}")
     mode = doc.get("mode")
     if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ValidationError(f"mode must be one of {tuple(MODES)}, got {mode!r}")
     sections = {name: doc.get(name, {}) for name in SECTIONS}
     not_objects = [name for name, sec in sections.items() if not isinstance(sec, dict)]
     if not_objects:
         raise ValidationError(f"config sections must be JSON objects: {not_objects}")
+    # the document's own keys, before the defaults join them
+    reads, _ = _row(mode)
+    _reject_unread([f"{section}.{key}" for section, sec in sections.items() for key in sec
+                    if f"{section}.{key}" not in reads], f"{mode} mode")
     sections["integrator"] = {**INTEGRATOR_DEFAULTS, **sections["integrator"]}
     cfg = RunConfig(mode=mode, **sections)
     _validate(cfg)
@@ -139,7 +141,9 @@ _VALUE_KINDS = (
      "init.input init.distribution kernels.name integrator.scheme compare.file_a "
      "compare.file_b output.directory"),
     ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
-     "sweep.eps_list sweep.t_grid roots.eps_list flow.v0_list flow.s_list"),
+     "sweep.eps_list sweep.t_grid roots.eps_list flow.s_list"),
+    ("a list of speeds, numbers >= 0",
+     lambda v: isinstance(v, list) and all(_is_number(u) and u >= 0 for u in v), "flow.v0_list"),
     ("an object of numbers",
      lambda v: isinstance(v, dict) and all(map(_is_number, v.values())), "kernels.params"),
     (f"a list drawn from {FORMATS}",
@@ -147,52 +151,46 @@ _VALUE_KINDS = (
 )
 
 
-# every key a config section may hold (the entries of kernels.params are
-# family-specific: builtin_kernels rejects those its family does not take)
-_KNOWN_KEYS = {name for _, _, names in _VALUE_KINDS for name in names.split()}
+def _row(mode: str):
+    """The keys a mode's row in MODES reads, and the required ones among them."""
+    names = MODES[mode][1].split()
+    return {name.rstrip("*") for name in names}, [n[:-1] for n in names if n.endswith("*")]
+
+
+def _reject_unread(keys, reader: str):
+    if keys:
+        raise ValidationError(f"{reader} does not read config keys {keys}")
 
 
 def _validate(cfg: RunConfig):
-    unknown = [f"{section}.{key}" for section in SECTIONS for key in getattr(cfg, section)
-               if f"{section}.{key}" not in _KNOWN_KEYS]
-    if unknown:
-        raise ValidationError(f"unknown config keys: {unknown}")
     for kind, ok, names in _VALUE_KINDS:
         for section, key in (name.split(".") for name in names.split()):
             values = getattr(cfg, section)
             if key in values and not ok(values[key]):
                 raise ValidationError(f"{section}.{key} must be {kind}, got {values[key]!r}")
-    mode = cfg.mode
-    if "input" in cfg.init and mode != "project":
-        raise ValidationError(f"init.input is read only by project mode; "
-                              f"{mode} samples its ensemble from init.n")
-    if mode != "compare":
-        _model_params(cfg, need_eps=(mode == "simulate-eps"))
-    if mode in ("simulate-eps", "simulate-limit", "sweep", "project"):
-        if not (mode == "project" and cfg.init.get("input")):
-            _init_ensemble_checks(cfg)
-        _kernel_spec(cfg)
-    needs = {"roots": "roots.A roots.eps_list", "flow": "flow.v0_list flow.s_list",
-             "sweep": "sweep.eps_list sweep.t_grid", "compare": "compare.file_a compare.file_b"}
-    names = needs.get(mode, "").split()
-    if any(getattr(cfg, sec).get(key) in (None, [], "")
-           for sec, key in (name.split(".") for name in names)):
-        raise ValidationError(f"{mode} mode needs {' and '.join(names)}")
+    reads, required = _row(cfg.mode)
+    missing = [f"{sec}.{key}" for sec, key in (name.split(".") for name in required)
+               if getattr(cfg, sec).get(key) in (None, [], "")]
+    if missing:
+        raise ValidationError(f"{cfg.mode} mode needs {' and '.join(missing)}")
     if cfg.integrator["scheme"] != "strang":
         raise ValidationError(
             f"integrator.scheme must be 'strang', got {cfg.integrator['scheme']!r}")
+    if "model.alpha" in reads:
+        params = _model_params(cfg)
+    if "kernels.name" in reads:
+        _kernel_spec(cfg)
+    if "init.n" in reads:
+        if cfg.init.get("input"):
+            _reject_unread([f"init.{key}" for key in cfg.init if key != "input"],
+                           "a run from init.input")
+        else:
+            _init_ensemble_checks(cfg.init, params)
 
 
-def _model_params(cfg: RunConfig, need_eps: bool) -> ModelParams:
-    model = cfg.model
-    for key in ("alpha", "beta"):
-        if key not in model:
-            raise ValidationError(f"model.{key} is required")
-    eps = model.get("eps")
-    if need_eps and eps is None:
-        raise ValidationError("model.eps is required for this mode")
-    return ModelParams(alpha=model["alpha"], beta=model["beta"],
-                       eps=eps if eps is not None else 1.0)
+def _model_params(cfg: RunConfig) -> ModelParams:
+    model = cfg.model  # only simulate-eps reads eps; the other modes never use it
+    return ModelParams(model["alpha"], model["beta"], model.get("eps", 1.0))
 
 
 def _kernel_spec(cfg: RunConfig):
@@ -200,22 +198,25 @@ def _kernel_spec(cfg: RunConfig):
     return builtin_kernels(name, cfg.kernels.get("params", {}))
 
 
-def _init_ensemble_checks(cfg: RunConfig):
-    init = cfg.init
+def _init_ensemble_checks(init: dict, params: ModelParams):
+    """The rules of a sampled initial datum, in the one copy that parse_config
+    and build_initial_ensemble both apply."""
     if "n" not in init:
         raise ValidationError("init.n (particle count) is required")
     dist = init.get("distribution", "uniform_annulus")
     if dist not in ("uniform_annulus", "on_sphere", "two_clusters"):
         raise ValidationError(f"unknown init.distribution {dist!r}")
-    params = _model_params(cfg, need_eps=False)
-    if dist in ("uniform_annulus", "two_clusters"):
-        r0, big_r0 = init.get("r0"), init.get("R0")
-        if r0 is None or big_r0 is None:
-            raise ValidationError("annulus init needs init.r0 and init.R0")
-        if not (0 < r0 < params.r < big_r0):
-            raise ValidationError(
-                f"need 0 < r0 < r < R0, got r0={r0}, r={params.r}, R0={big_r0}"
-            )
+    if dist == "on_sphere":  # its speeds are r: no band to sample from
+        _reject_unread([f"init.{key}" for key in ("r0", "R0") if key in init],
+                       "an on_sphere datum")
+        return
+    r0, big_r0 = init.get("r0"), init.get("R0")
+    if r0 is None or big_r0 is None:
+        raise ValidationError(f"a {dist} datum needs init.r0 and init.R0")
+    if not (0 < r0 < params.r < big_r0):
+        raise ValidationError(
+            f"need 0 < r0 < r < R0, got r0={r0}, r={params.r}, R0={big_r0}"
+        )
 
 
 def _unit_directions(rng, n, d):
@@ -231,6 +232,7 @@ def _uniform_ball(rng, n, d, radius):
 
 def build_initial_ensemble(init: dict, params: ModelParams) -> PhaseEnsemble:
     """Sample the configured initial datum (deterministic in init.seed)."""
+    _init_ensemble_checks(init, params)
     n = int(init["n"])
     d = int(init.get("dim", 2))
     seed = int(init.get("seed", 0))
@@ -311,7 +313,7 @@ def _mode_simulate(cfg, seed, formats):
     onto the speed sphere; `simulate` picks the step from the ensemble's
     radius."""
     limit = cfg.mode == "simulate-limit"
-    params = _model_params(cfg, need_eps=not limit)
+    params = _model_params(cfg)
     spec = _kernel_spec(cfg)
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
     if limit:
@@ -327,7 +329,7 @@ def _mode_simulate(cfg, seed, formats):
 
 
 def _mode_project(cfg, seed, formats):
-    params = _model_params(cfg, need_eps=False)
+    params = _model_params(cfg)
     source = cfg.init.get("input")
     ens = (load_snapshot(source) if source
            else build_initial_ensemble({**cfg.init, "seed": seed}, params))
@@ -341,7 +343,7 @@ def _mode_project(cfg, seed, formats):
 
 
 def _mode_roots(cfg, seed, formats):
-    params = _model_params(cfg, need_eps=False)
+    params = _model_params(cfg)
     amp = float(cfg.roots["A"])
     lims = root_asymptotics(amp, params) if amp != 0.0 else (math.nan,) * 3
     rows = []
@@ -359,7 +361,7 @@ def _mode_roots(cfg, seed, formats):
 
 
 def _mode_flow(cfg, seed, formats):
-    params = _model_params(cfg, need_eps=False)
+    params = _model_params(cfg)
     rows = []
     for v0 in cfg.flow["v0_list"]:
         s_v = blowup_time(np.array([float(v0)]), params)
@@ -375,7 +377,7 @@ def _mode_compare(cfg, seed, formats):
 
 
 def _mode_sweep(cfg, seed, formats):
-    params = _model_params(cfg, need_eps=False)
+    params = _model_params(cfg)
     spec = _kernel_spec(cfg)
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
     eps_list = [float(e) for e in cfg.sweep["eps_list"]]
@@ -391,14 +393,26 @@ def _mode_sweep(cfg, seed, formats):
     yield "sweep.csv", csv_text(["eps", "t", "w1", "n", "seed", "runtime_ms"], rows)
 
 
-_HANDLERS = {
-    "simulate-eps": _mode_simulate,
-    "simulate-limit": _mode_simulate,
-    "project": _mode_project,
-    "roots": _mode_roots,
-    "flow": _mode_flow,
-    "compare": _mode_compare,
-    "sweep": _mode_sweep,
+# What each mode reads: its handler, and the config keys it reads, a `*`
+# marking the required ones. parse_config rejects a key that a document gives
+# and its mode does not read. A row that reads model.alpha, kernels.name or
+# init.n has its ModelParams, kernel spec or sampled datum checked at parse time.
+_MODEL = "model.alpha* model.beta*"
+_SAMPLING = "init.n init.dim init.L0 init.distribution init.r0 init.R0 init.seed"
+_STEPPING = ("kernels.name kernels.params integrator.dt integrator.stride "
+             "integrator.scheme integrator.diffusion")
+_SIMULATE = f"{_MODEL} {_SAMPLING} {_STEPPING} integrator.T output.directory output.formats"
+
+MODES = {
+    "simulate-eps": (_mode_simulate, f"{_SIMULATE} model.eps*"),
+    "simulate-limit": (_mode_simulate, _SIMULATE),
+    "compare": (_mode_compare, "compare.file_a* compare.file_b* output.directory"),
+    "sweep": (_mode_sweep,
+              f"{_MODEL} {_SAMPLING} {_STEPPING} sweep.eps_list* sweep.t_grid* output.directory"),
+    "roots": (_mode_roots, f"{_MODEL} roots.A* roots.eps_list* output.directory"),
+    "flow": (_mode_flow, f"{_MODEL} flow.v0_list* flow.s_list* output.directory"),
+    "project": (_mode_project,
+                f"{_MODEL} {_SAMPLING} init.input output.directory output.formats"),
 }
 
 
@@ -412,7 +426,7 @@ def run(cfg: RunConfig, output_dir: str | None = None,
     formats = list(cfg.output.get("formats", ["csv"]))
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     files: list = []
-    for name, text in _HANDLERS[cfg.mode](cfg, seed, formats):
+    for name, text in MODES[cfg.mode][0](cfg, seed, formats):
         if not files:
             outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / name

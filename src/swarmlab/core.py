@@ -48,6 +48,11 @@ class ModelParams:
                 f"alpha, beta, eps must be positive, got "
                 f"({self.alpha}, {self.beta}, {self.eps})"
             )
+        if not 0 < self.r < math.inf:  # alpha/beta past float range, either way
+            raise ValidationError(
+                f"equilibrium speed r = sqrt(alpha/beta) must be finite and positive, "
+                f"got {self.r} from alpha={self.alpha}, beta={self.beta}"
+            )
 
     @property
     def r(self) -> float:

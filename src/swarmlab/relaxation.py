@@ -97,10 +97,19 @@ def root_asymptotics(A: float, params: ModelParams):
     return (a, 0.5 * a, 0.5 * a)
 
 
+def _speed_squares(v: np.ndarray) -> np.ndarray:
+    """|v|^2 along the last axis; ValidationError where it is past float range."""
+    with np.errstate(over="ignore"):  # reported below as a config problem, not warned
+        vv = np.sum(v * v, axis=-1)
+    if not np.all(np.isfinite(vv)):
+        raise ValidationError("flow needs a finite |v|^2 for every particle")
+    return vv
+
+
 def blowup_time(v, params: ModelParams) -> float:
-    """Backward blow-up time of the flow through v: -inf for |v| <= r."""
-    v = np.asarray(v, dtype=float)
-    vv = float(np.sum(v * v))
+    """Backward blow-up time of the flow through v: -inf for |v| <= r.
+    Raises ValidationError when |v|^2 is not finite."""
+    vv = float(_speed_squares(np.asarray(v, dtype=float)))
     r2 = params.r**2
     if vv <= r2:
         return -math.inf
@@ -120,9 +129,7 @@ def free_flow(v, s: float, params: ModelParams) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
     vs = v[None, :] if single else v
-    vv = np.sum(vs * vs, axis=1)
-    if not np.all(np.isfinite(vv)):
-        raise ValidationError("flow needs a finite |v|^2 for every particle")
+    vv = _speed_squares(vs)
     r2 = params.r**2
     if s >= 0.0:
         # q = |V|^(-2) r^2 |v|^2 rearranged to avoid e^(2 alpha s) overflow.

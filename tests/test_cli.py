@@ -9,6 +9,7 @@ import pytest
 
 import swarmlab
 from swarmlab.cli import (
+    MODES,
     RunConfig,
     build_initial_ensemble,
     load_snapshot,
@@ -160,7 +161,77 @@ class TestParseConfig:
         assert again == cfg
 
 
+ALPHA_BETA = {"alpha": 1.0, "beta": 1.0}
+SAMPLED = {"n": 8, "r0": 0.5, "R0": 1.5}
+# each mode's required keys, plus the band a sampled datum needs by default
+MODE_MINIMA = {
+    "simulate-eps": {"model": {**ALPHA_BETA, "eps": 0.05}, "init": SAMPLED},
+    "simulate-limit": {"model": ALPHA_BETA, "init": SAMPLED},
+    "compare": {"compare": {"file_a": "a.json", "file_b": "b.json"}},
+    "sweep": {"model": ALPHA_BETA, "init": SAMPLED,
+              "sweep": {"eps_list": [0.08], "t_grid": [0.0]}},
+    "roots": {"model": ALPHA_BETA, "roots": {"A": -1.0, "eps_list": [0.01]}},
+    "flow": {"model": ALPHA_BETA, "flow": {"v0_list": [0.5], "s_list": [1.0]}},
+    "project": {"model": ALPHA_BETA, "init": SAMPLED},
+}
+KEY_SAMPLES = {
+    "model.alpha": 1.5, "model.beta": 0.8, "model.eps": 0.1,
+    "kernels.name": "constant_weight", "kernels.params": {},
+    "init.n": 4, "init.dim": 3, "init.L0": 2.0, "init.distribution": "two_clusters",
+    "init.r0": 0.25, "init.R0": 2.0, "init.seed": 5, "init.input": "snap.json",
+    "integrator.dt": 0.01, "integrator.stride": 2, "integrator.scheme": "strang",
+    "integrator.diffusion": False, "integrator.T": 0.5,
+    "sweep.eps_list": [0.08, 0.04], "sweep.t_grid": [0.0, 0.1],
+    "roots.A": 1.0, "roots.eps_list": [0.1], "flow.v0_list": [0.0, 2.0],
+    "flow.s_list": [-0.1], "compare.file_a": "c.json", "compare.file_b": "d.json",
+    "output.directory": "out", "output.formats": ["json"],
+}
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("mode,name", [
+        (mode, name.rstrip("*")) for mode, (_, row) in MODES.items() for name in row.split()])
+    def test_every_key_of_a_row_parses_in_its_mode(self, mode, name):
+        doc = json.loads(json.dumps({"mode": mode, **MODE_MINIMA[mode]}))
+        section, key = name.split(".")
+        if name == "init.input":  # a datum read from a file takes no sampling key
+            doc["init"] = {}
+        doc.setdefault(section, {})[key] = KEY_SAMPLES[name]
+        assert getattr(parse_config(json.dumps(doc)), section)[key] == KEY_SAMPLES[name]
+
+    @pytest.mark.parametrize("mode,extra,unread", [
+        ("sweep", {"integrator": {"T": 1.0}}, "integrator.T"),
+        ("sweep", {"model": {**ALPHA_BETA, "eps": 0.05}}, "model.eps"),
+        ("sweep", {"output": {"formats": ["json"]}}, "output.formats"),
+        ("simulate-limit", {"model": {**ALPHA_BETA, "eps": 0.05}}, "model.eps"),
+        ("project", {"kernels": {"name": "cucker_smale_weight"}}, "kernels.name"),
+        ("roots", {"init": {"n": 8}}, "init.n"),
+        ("compare", {"init": {"seed": 3}}, "init.seed"),
+        ("simulate-eps", {"init": {"n": 8, "distribution": "on_sphere", "r0": 0.5}},
+         "init.r0"),
+        ("project", {"init": {"input": "snap.json", "n": 8}}, "init.n"),
+    ])
+    def test_key_its_mode_does_not_read_is_config_error(self, mode, extra, unread,
+                                                         tmp_path, capsys):
+        doc = {"mode": mode, **MODE_MINIMA[mode], **extra}
+        with pytest.raises(ValidationError, match=rf"does not read config keys \['{unread}'\]"):
+            parse_config(json.dumps(doc))
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert unread in capsys.readouterr().err
+
+
 class TestInitialEnsembles:
+    @pytest.mark.parametrize("init,message", [
+        ({"n": 4, "distribution": "typo", "r0": 0.5, "R0": 1.5}, "init.distribution"),
+        ({"n": 4, "r0": 2.0, "R0": 3.0}, "r0 < r"),
+        ({"n": 4, "R0": 1.5}, "init.r0 and init.R0"),
+        ({"distribution": "on_sphere"}, "init.n"),
+        ({"n": 4, "distribution": "on_sphere", "R0": 1.5}, "init.R0"),
+    ], ids=["typo", "r0-past-r", "no-r0", "no-n", "sphere-band"])
+    def test_builder_holds_the_datum_to_the_config_rules(self, init, message):
+        with pytest.raises(ValidationError, match=message):
+            build_initial_ensemble(init, ModelParams(1.0, 1.0, 0.1))
+
     def test_on_sphere_exact_speeds(self):
         p = ModelParams(4.0, 1.0, 0.1)
         ens = build_initial_ensemble(
@@ -419,7 +490,8 @@ def _main_in(tmp_path, doc, *flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    return main([doc["mode"], str(path), "--output", str(out), *flags]), out.exists()
+    source = ["--config", str(path)] if doc["mode"] == "compare" else [str(path)]
+    return main([doc["mode"], *source, "--output", str(out), *flags]), out.exists()
 
 
 @pytest.fixture
@@ -503,13 +575,31 @@ class TestFailFast:
         assert _main_in(tmp_path, doc) == (2, False)
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_flow_speed_square_past_float_range_is_config_error(self, tmp_path, capsys):
         # |v0|^2 = 1e400 overflows; the table would hold speed nan
         doc = json.loads((CONFIGS / "flow.json").read_text())
         doc["flow"] = {"v0_list": [1e200], "s_list": [0.0, 1.0]}
-        with np.errstate(over="ignore"):
-            assert _main_in(tmp_path, doc) == (2, False)
+        assert _main_in(tmp_path, doc) == (2, False)
         assert "finite |v|^2" in capsys.readouterr().err
+
+    def test_negative_flow_speed_is_config_error(self, tmp_path, capsys):
+        # a speed of -1.0 would be read as its absolute value
+        doc = json.loads((CONFIGS / "flow.json").read_text())
+        doc["flow"] = {"v0_list": [0.5, -1.0], "s_list": [1.0]}
+        with pytest.raises(ValidationError, match="flow.v0_list"):
+            parse_config(json.dumps(doc))
+        assert _main_in(tmp_path, doc) == (2, False)
+
+    @pytest.mark.parametrize("amp", [-1.0, 1.0])
+    @pytest.mark.parametrize("alpha,beta", [(1e308, 1e-308), (1e-308, 1e308)])
+    def test_equilibrium_speed_past_float_range_is_config_error(self, alpha, beta, amp,
+                                                                tmp_path, capsys):
+        # r = sqrt(alpha/beta) is inf or 0: brentq would get no bracket
+        doc = {"mode": "roots", "model": {"alpha": alpha, "beta": beta},
+               "roots": {"A": amp, "eps_list": [0.1]}}
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert "sqrt(alpha/beta)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         {**MINIMAL_EPS, "integrator": {"dt": 1e-308, "T": 1e10}},
