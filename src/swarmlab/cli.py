@@ -46,7 +46,13 @@ from .errors import (
     ZeroVelocityParticle,
 )
 from .kernels import builtin_kernels
-from .relaxation import blowup_time, root_asymptotics, solve_roots, speed_flow
+from .relaxation import (
+    blowup_time,
+    check_speed_balance,
+    root_asymptotics,
+    solve_roots,
+    speed_flow,
+)
 from .sphere_dynamics import spherical_coords_3d
 from .transport import convergence_study, w1_exact
 
@@ -186,6 +192,9 @@ def _validate(cfg: RunConfig):
                            "a run from init.input")
         else:
             _init_ensemble_checks(cfg.init, params)
+    if "roots.A" in reads:
+        for eps in cfg.roots["eps_list"]:
+            check_speed_balance(float(eps), float(cfg.roots["A"]), params)
 
 
 def _model_params(cfg: RunConfig) -> ModelParams:
@@ -395,8 +404,9 @@ def _mode_sweep(cfg, seed, formats):
 
 # What each mode reads: its handler, and the config keys it reads, a `*`
 # marking the required ones. parse_config rejects a key that a document gives
-# and its mode does not read. A row that reads model.alpha, kernels.name or
-# init.n has its ModelParams, kernel spec or sampled datum checked at parse time.
+# and its mode does not read. A row that reads model.alpha, kernels.name,
+# init.n or roots.A has its ModelParams, kernel spec, sampled datum or speed
+# balances checked at parse time.
 _MODEL = "model.alpha* model.beta*"
 _SAMPLING = "init.n init.dim init.L0 init.distribution init.r0 init.R0 init.seed"
 _STEPPING = ("kernels.name kernels.params integrator.dt integrator.stride "

@@ -13,7 +13,8 @@ s_ij = |x_i - x_j|^2 from scipy's cdist (the package's only pair pass). It
 holds the energy (1/2) sum_ij w_i w_j U(s_ij), the potential force
 F_i = -2 (sum_j G_ij x_i - (G x)_i) with G_ij = w_j U'(s_ij), and the weighted
 alignment matrix H_ij = w_j h(s_ij) with its row sums, so every
-velocity-dependent field evaluation at those positions is one matvec,
+velocity-dependent field evaluation at those positions is one (N, N) by
+(N, d) product,
 
     a = F + H v - rowsum(H) v.
 
@@ -21,8 +22,18 @@ The j = i term is kept (grad_U(0) = 0, the alignment difference vanishes, the
 empirical convolution keeps the self-pair energy), so the sums are
 branch-free. The cost is O(N^2) time per build and O(N^2) memory: H is one
 N x N float64 matrix, 8 N^2 bytes (8 MB at N = 1024, 128 MB at N = 4096),
-built in place in the distance buffer. A kernel with both a potential and a
-weight holds a second N x N buffer while the force is built.
+built in place in the distance buffer. A build passes over that buffer in
+cdist, in the profile, whose last pass also folds in the weight w_j, and in
+the row sums; an apply passes over H once. A kernel with both a potential
+and a weight holds a second N x N buffer while the force is built.
+
+Both pair products, H v and G x, are BLAS calls on fixed blocks of
+BLOCK_ROWS rows. How OpenBLAS splits one call over its threads can change
+the order in which a row's sum is added up, so the bytes of a whole-matrix
+product depend on the BLAS thread count; over 64-row blocks they did not, at
+any N probed (OpenBLAS 0.3.31, 1 against 2 threads, N = 560 to 8192, d = 2
+and 3). That is an empirical fact about this library, not a guarantee:
+128- and 256-row blocks differed at some N.
 
 Every KernelSpec carries certified sup-norm bounds for its ingredients; the
 built-in families derive them in closed form.
@@ -39,14 +50,17 @@ from scipy.spatial.distance import cdist
 
 from .errors import BadKernelParams, ValidationError
 
+BLOCK_ROWS = 64  # rows per BLAS call of a pair product; see the module docstring
+
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A radial potential/weight pair with certified bounds.
 
-    The profiles take the matrix s of squared pair distances as a buffer the
-    pair build no longer needs: `potential(s, w)` overwrites s with U'(s) and
-    returns (1/2) sum_ij w_i w_j U(s_ij); `h(s)` returns h(s), in s or not.
+    Both profiles take the matrix s of squared pair distances, a buffer the
+    pair build no longer needs, and the weights w, and overwrite s_ij with
+    the weighted profile w_j p(s_ij): `potential(s, w)` leaves w_j U'(s_ij)
+    and returns (1/2) sum_ij w_i w_j U(s_ij); `h(s, w)` leaves w_j h(s_ij).
     None stands for an identically zero profile.
     """
 
@@ -56,8 +70,8 @@ class KernelSpec:
     norm_grad_U: float
     norm_h: float
     norm_grad_h: float
-    potential: Callable | None = None   # (s, w) -> energy; s becomes U'(s)
-    h: Callable | None = None           # h(s)
+    potential: Callable | None = None   # (s, w) -> energy; s becomes w_j U'(s)
+    h: Callable | None = None           # (s, w); s becomes w_j h(s)
 
 
 @dataclass(frozen=True)
@@ -80,15 +94,15 @@ def _gaussian_family(c_a, l_a, c_r, l_r):
     terms = [(amp, ell**2) for amp, ell in ((-c_a, l_a), (c_r, l_r)) if amp != 0.0]
 
     def potential(s, w):
-        """Overwrite s with U'(s) and return (1/2) sum_ij w_i w_j U(s_ij); each
-        exponential is computed once, the last in the buffer of s."""
+        """Overwrite s with w_j U'(s_ij) and return (1/2) sum_ij w_i w_j U(s_ij);
+        each exponential is computed once, the last in the buffer of s."""
         energy, du = 0.0, None
         for k, (amp, ell2) in enumerate(terms):
             e = s if k == len(terms) - 1 else s.copy()
             np.divide(e, -ell2, out=e)
             np.exp(e, out=e)
             energy += amp * float(np.sum(np.einsum("ij,j->i", e, w) * w))
-            e *= -amp / ell2
+            e *= (-amp / ell2) * w
             if du is not None:
                 e += du
             du = e
@@ -105,10 +119,11 @@ def _gaussian_family(c_a, l_a, c_r, l_r):
 def _cucker_smale_family(k, gamma):
     """h(x) = k / (1 + |x|^2)^gamma: the classical decreasing radial weight."""
 
-    def h(s):
+    def h(s, w):
         np.add(s, 1.0, out=s)
-        s **= gamma
-        return np.divide(k, s, out=s)
+        if gamma != 1.0:  # x**1.0 == x, but numpy would still make the pass
+            s **= gamma
+        np.divide(k * w, s, out=s)
 
     # |grad h| = 2 gamma k rho (1+rho^2)^(-gamma-1) peaks at rho^2 = 1/(2 gamma + 1).
     rho_star = 1.0 / math.sqrt(2.0 * gamma + 1.0)
@@ -117,9 +132,8 @@ def _cucker_smale_family(k, gamma):
 
 
 def _constant_profile(k):
-    def h(s):
-        s[...] = k
-        return s
+    def h(s, w):
+        s[...] = k * w
     return h
 
 
@@ -188,12 +202,20 @@ def compose_kernels(potential_spec: KernelSpec, weight_spec: KernelSpec) -> Kern
     )
 
 
+def _row_blocks_matmul(m, y):
+    """m @ y, one BLAS call per block of BLOCK_ROWS rows of m."""
+    out = np.empty((m.shape[0], y.shape[1]))
+    for i in range(0, m.shape[0], BLOCK_ROWS):
+        np.matmul(m[i:i + BLOCK_ROWS], y, out=out[i:i + BLOCK_ROWS])
+    return out
+
+
 class PairOperator:
     """The pair sums of one frozen position state, for a fixed weight vector.
 
     `build(x)` evaluates the interaction energy, the force F and the weighted
     alignment matrix H at positions x, reusing the N x N buffer of the
-    previous build; `field(v)` then costs one matvec. An operator belongs to
+    previous build; `field(v)` then costs one pass over H. An operator belongs to
     one run: it is not shared and not cached past it.
     """
 
@@ -217,22 +239,21 @@ class PairOperator:
         if spec.potential is not None:
             g = s.copy() if spec.h is not None else s
             self.energy = spec.potential(g, w)
-            g *= w
             # F depends on differences only; centring x keeps the two sums
             # from cancelling when the swarm sits far from the origin
             xc = x - np.mean(x, axis=0)
-            self.force = -2.0 * (np.sum(g, axis=1)[:, None] * xc - g @ xc)
+            self.force = -2.0 * (np.sum(g, axis=1)[:, None] * xc - _row_blocks_matmul(g, xc))
         if spec.h is not None:
-            self.H = spec.h(s)
-            self.H *= w
-            self.h_rowsum = np.sum(self.H, axis=1)
+            spec.h(s, w)
+            self.H = s
+            self.h_rowsum = np.sum(s, axis=1)
         return self
 
     def field(self, v) -> np.ndarray:
         """a_i = F_i + sum_j H_ij (v_j - v_i) at the built positions."""
         if self.H is None:
             return self.force.copy()
-        a = self.H @ v
+        a = _row_blocks_matmul(self.H, v)
         a -= self.h_rowsum[:, None] * v
         a += self.force
         return a
@@ -241,7 +262,8 @@ class PairOperator:
 def acceleration(ens, spec: KernelSpec) -> FieldSample:
     """Mean-field acceleration of every particle against the full ensemble,
     in either regime (with or without a sphere radius). The pair sums are BLAS
-    matrix products, so their bytes can depend on the BLAS thread count.
+    products over fixed row blocks, so their bytes did not depend on the BLAS
+    thread count wherever that was probed (see the module docstring).
     """
     a = PairOperator(ens.w, spec).build(ens.x).field(ens.v)
     sup = float(np.max(np.sqrt(np.sum(a * a, axis=1)))) if a.size else 0.0

@@ -60,14 +60,32 @@ def _root(f, lo, hi):
     return brentq(f, lo, hi, xtol=1e-300)
 
 
-def solve_roots(eps: float, A: float, params: ModelParams) -> RootTriple:
-    """Brent's method on the sign-analysis brackets: lambda increases on
-    [0, r/sqrt(3)] and decreases beyond, so each root is bracketed a priori.
-    No Newton steps (the derivative vanishes at rho = r/sqrt(3))."""
+def check_speed_balance(eps: float, A: float, params: ModelParams):
+    """ValidationError unless solve_roots(eps, A, params) stays in float range.
+
+    Its brackets reach rho = r for A < 0 and, for A > 0, at most
+    r + 2 max(r, 1, (eps A / beta)^(1/3)), since rho3 <= r + (eps A / beta)^(1/3).
+    There lambda forms rho^2, alpha rho and beta rho^3, each of which must be
+    finite: an infinite bracket value leaves brentq without a secant."""
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
     if not math.isfinite(eps * A):
         raise ValidationError(f"forcing eps*A overflows: eps={eps}, A={A}")
+    if A == 0.0:
+        return
+    r, beta = params.r, params.beta
+    rho = r if A < 0.0 else r + 2.0 * max(r, 1.0, (eps * A) ** (1 / 3) / beta ** (1 / 3))
+    if not math.isfinite(max(rho * rho, params.alpha * rho, beta * rho * rho * rho)):
+        raise ValidationError(
+            f"speed balance past float range: alpha={params.alpha}, beta={beta}, "
+            f"eps*A={eps * A} bracket roots up to rho={rho}")
+
+
+def solve_roots(eps: float, A: float, params: ModelParams) -> RootTriple:
+    """Brent's method on the sign-analysis brackets: lambda increases on
+    [0, r/sqrt(3)] and decreases beyond, so each root is bracketed a priori.
+    No Newton steps (the derivative vanishes at rho = r/sqrt(3))."""
+    check_speed_balance(eps, A, params)
     r = params.r
     if A == 0.0:
         return RootTriple(rho1=0.0, rho2=r, rho3=r, A=A, eps=eps, validity=True)

@@ -417,16 +417,17 @@ class TestRun:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_byte_identical_across_blas_threads(self, tmp_path):
-        # the field is a BLAS product, which OpenBLAS splits across two threads
-        # at N = 512. That split happens to give the one-thread bytes; at many
-        # other N it does not (an (N, 3) product differed for most N from 578
-        # to 699 at OpenBLAS 0.3.31, 1 vs 2 threads), so this checks N = 512
-        # only. At SWARM_THREADS=2 two study lanes call OpenBLAS at once.
+        # the pair products are BLAS calls on fixed row blocks. A whole-matrix
+        # (N, 3) product changed bytes between 1 and 2 OpenBLAS threads for
+        # most N from 578 to 699 (OpenBLAS 0.3.31), N = 600 among them, though
+        # this sweep's W1 values agreed even then: the field-level check is
+        # test_kernels' test_field_bytes_independent_of_blas_threads. At
+        # SWARM_THREADS=2 two study lanes call OpenBLAS at once.
         doc = {
             "mode": "sweep",
             "model": {"alpha": 1.0, "beta": 1.0},
             "kernels": {"name": "cucker_smale_weight", "params": {"K": 1.0, "gamma": 1.0}},
-            "init": {"n": 512, "dim": 2, "L0": 1.0, "r0": 0.5, "R0": 1.5,
+            "init": {"n": 600, "dim": 3, "L0": 1.0, "r0": 0.5, "R0": 1.5,
                      "distribution": "uniform_annulus", "seed": 21},
             "integrator": {"dt": 5e-3, "stride": 5},
             "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.05]},
@@ -647,6 +648,19 @@ class TestFailFast:
         monkeypatch.setattr(PairOperator, "build", no_memory)
         assert _main_in(tmp_path, MINIMAL_EPS) == (3, False)
         assert "numeric abort: out of memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,amp", [
+        ({"alpha": 1e308, "beta": 1.0}, 1.0),       # was an OverflowError traceback
+        ({"alpha": 1e200, "beta": 1e-100}, -1.0),   # was brentq's RuntimeError
+    ])
+    def test_roots_speed_balance_past_float_range_is_config_error(self, model, amp,
+                                                                 tmp_path, capsys):
+        doc = {**json.loads((CONFIGS / "roots.json").read_text()), "model": model}
+        doc["roots"] = {**doc["roots"], "A": amp}
+        with pytest.raises(ValidationError, match="speed balance past float range"):
+            parse_config(json.dumps(doc))
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert "speed balance past float range" in capsys.readouterr().err
 
     def test_roots_forcing_past_float_range_is_config_error(self, tmp_path, capsys):
         # eps*A = 1e309 is inf: brentq would see NaN

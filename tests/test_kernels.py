@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import swarmlab
 from swarmlab import (
     PhaseEnsemble,
     acceleration,
@@ -108,12 +114,17 @@ class TestBuiltins:
 
     def test_builtins_pass_evenness_check(self):
         # a radial h is even by construction, which lets the pairwise alignment
-        # sum conserve momentum; sample h >= 0 on squared distances of the box
-        # [-5, 5]^3 (the profile may overwrite its argument: pass a copy)
-        s = np.random.default_rng(0).uniform(0.0, 75.0, size=256)
+        # sum conserve momentum; sample w_j h(s) >= 0 on squared distances of
+        # the box [-5, 5]^3 (the profile overwrites its argument: pass a copy)
+        rng = np.random.default_rng(0)
+        s = rng.uniform(0.0, 75.0, size=(16, 16))
+        w = rng.uniform(0.1, 1.0, size=16)
         for name in ("zero_potential", "constant_weight", "cucker_smale_weight"):
             spec = builtin_kernels(name)
-            assert spec.h is None or np.all(spec.h(s.copy()) >= 0)
+            if spec.h is not None:
+                weighted = s.copy()
+                spec.h(weighted, w)
+                assert np.all(weighted >= 0), name
 
     def test_gradient_consistency_central_differences(self):
         # numerical gradient of the closed-form U matches the pair build's
@@ -224,6 +235,23 @@ class TestAcceleration:
 
 K_STEPS = 5
 
+# Bytes of pair-operator fields, one line per (N, d) case given as JSON in
+# argv[1]: the Cucker-Smale field and a Gaussian build's force.
+_FIELD_BYTES = """
+import hashlib, json, sys
+import numpy as np
+from swarmlab import builtin_kernels
+from swarmlab.kernels import PairOperator
+specs = {"cucker_smale": builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0}),
+         "gaussian": builtin_kernels("gaussian_attraction_repulsion",
+                                     {"C_A": 0.7, "l_A": 1.1, "C_R": 0.4, "l_R": 0.6})}
+for name, n, d in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(n)
+    x, v = rng.standard_normal((2, n, d))
+    a = PairOperator(np.full(n, 1.0 / n), specs[name]).build(x).field(v)
+    print(name, n, d, hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
 
 def _stride_2_run(limit):
     """A K_STEPS-step run of the composed kernel at snapshot stride 2 (steps
@@ -236,6 +264,56 @@ def _stride_2_run(limit):
 
 
 class TestPairOperator:
+    @pytest.mark.parametrize("gamma", [1.0, 1.5])
+    def test_built_alignment_matrix_is_weighted_profile(self, gamma):
+        # H_ij = w_j h(s_ij) against the closed form, for non-uniform weights;
+        # gamma = 1 takes the profile's path without the power
+        rng = np.random.default_rng(11)
+        w = rng.uniform(0.2, 1.0, size=60)
+        w /= np.sum(w)
+        x = rng.uniform(-2.0, 2.0, size=(60, 3))
+        dx = x[:, None, :] - x[None, :, :]
+        for spec in (builtin_kernels("cucker_smale_weight", {"K": 1.3, "gamma": gamma}),
+                     builtin_kernels("constant_weight", {"K": 0.9})):
+            op = PairOperator(w, spec).build(x)
+            oracle = w[None, :] * align_weight(spec, dx)
+            assert_allclose(op.H, oracle, rtol=4 * np.finfo(float).eps, atol=0)
+            assert_allclose(op.h_rowsum, np.sum(oracle, axis=1), rtol=1e-14, atol=0)
+
+    def test_gaussian_force_and_energy_with_non_uniform_weights(self):
+        # the potential profile folds w_j into U'(s_ij): check the force and
+        # the energy against exactly rounded double sums of the closed forms
+        rng = np.random.default_rng(12)
+        w = rng.uniform(0.2, 1.0, size=40)
+        w /= np.sum(w)
+        ens = make_phase(40, d=3, seed=12, weights=w)
+        op = PairOperator(ens.w, GAUSSIAN).build(ens.x)
+        dx = ens.x[:, None, :] - ens.x[None, :, :]
+        grad = grad_potential(GAUSSIAN, dx)
+        force = np.array([[math.fsum(-ens.w * grad[i, :, k]) for k in range(3)]
+                          for i in range(40)])
+        assert np.max(np.abs(op.force - force)) <= 1e-12 * np.max(np.abs(force))
+        energy = 0.5 * math.fsum(
+            (ens.w[:, None] * ens.w[None, :] * potential(GAUSSIAN, dx)).ravel())
+        assert op.energy == pytest.approx(energy, rel=1e-12)
+
+    def test_field_bytes_independent_of_blas_threads(self):
+        # a whole-matrix BLAS product changed bytes between 1 and 2 OpenBLAS
+        # threads in each of these cases (OpenBLAS 0.3.31, 2-CPU x86). OpenBLAS
+        # reads its thread count when numpy loads: one process per count.
+        cases = ([["cucker_smale", n, 3] for n in (581, 616, 651, 686)]
+                 + [["cucker_smale", 1000, 2], ["gaussian", 616, 3]])
+        src = str(Path(swarmlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        lines = []
+        for blas in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": path}
+            lines.append(subprocess.run(
+                [sys.executable, "-c", _FIELD_BYTES, json.dumps(cases)], env=env,
+                check=True, capture_output=True, text=True).stdout.splitlines())
+        assert len(lines[0]) == len(cases)
+        assert lines[0] == lines[1]
+
     def test_one_pair_pass_per_position_state(self, monkeypatch):
         # every pair pass is a cdist call, the interaction energy included:
         # a K-step run of either regime visits K + 1 position states

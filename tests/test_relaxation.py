@@ -83,6 +83,29 @@ class TestRoots:
         with pytest.raises(ValidationError, match="eps\\*A"):
             solve_roots(10.0, 1e308, P11)
 
+    @pytest.mark.parametrize("alpha,beta,eps,amp", [
+        (1e308, 1.0, 0.1, 1.0),      # rho^2 at the first bracket, (2r)^2 = 4e308
+        (1e200, 1e-100, 0.1, -1.0),  # alpha r = 1e350 at the knee
+        (1e-10, 1e-318, 0.1, 1.0),   # alpha r^2 = 1e298 is finite, (2r)^2 is not
+        (1.0, 1.0, 1.0, 1e308),      # beta rho^3 past the root rho3 = 4.6e102
+    ])
+    def test_speed_balance_past_float_range_rejected(self, alpha, beta, eps, amp):
+        with pytest.raises(ValidationError, match="speed balance past float range"):
+            solve_roots(eps, amp, ModelParams(alpha, beta, eps))
+
+    @pytest.mark.parametrize("alpha,beta,eps,amp", [
+        (1e100, 1e-100, 0.01, -1.0),  # rho1 = 1e-102 against r = 1e100
+        (1.0, 1.0, 1.0, 1e300),       # rho3 = 1e100
+    ])
+    def test_wide_but_finite_speed_balance_solves(self, alpha, beta, eps, amp):
+        p = ModelParams(alpha, beta, eps)
+        triple = solve_roots(eps, amp, p)
+        for root in (triple.rho1, triple.rho2, triple.rho3):
+            if root is not None:
+                # a root to a few ulps of rho: |lambda'| rho times their size
+                slope = abs(alpha - 3.0 * beta * root**2) * root
+                assert abs(lambda_eps(root, eps, amp, p)) <= 1e-14 * max(slope, abs(eps * amp))
+
     def test_residuals_below_tolerance(self):
         for eps in (1e-5, 1e-3, 1e-1):
             for amp in (-2.0, -0.5, 0.7, 3.0):
