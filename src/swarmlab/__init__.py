@@ -13,40 +13,18 @@ from .core import (
     PhaseEnsemble,
     moments,
     project_measure,
-    support_in_band,
 )
 from .eps_dynamics import SimConfig, Trajectory, simulate
-from .kernels import (
-    FieldSample,
-    KernelSpec,
-    acceleration,
-    builtin_kernels,
-    compose_kernels,
-    field_gap_bound,
-)
+from .kernels import KernelSpec, builtin_kernels, compose_kernels
 from .relaxation import (
     RootTriple,
-    adjoint_potential,
     blowup_time,
     free_flow,
     lambda_eps,
     root_asymptotics,
     solve_roots,
-    trapping_time_bounds,
 )
-from .sphere_dynamics import (
-    laplace_beltrami_via_extension,
-    spherical_coords_3d,
-    spherical_laplacian_3d,
-    tangential_projection,
-    zero_hom_laplacian_formula,
-)
-from .transport import (
-    ConvergenceTable,
-    W1Report,
-    convergence_study,
-    equicontinuity_probe,
-    w1_exact,
-)
+from .sphere_dynamics import spherical_coords_3d, tangential_projection
+from .transport import ConvergenceTable, W1Report, convergence_study, w1_exact
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,7 +34,6 @@ from .core import (
 )
 from .eps_dynamics import SimConfig, simulate
 from .errors import (
-    BadBand,
     BadKernelParams,
     DimensionMismatch,
     FlowBlowup,
@@ -453,7 +452,7 @@ def run(cfg: RunConfig, output_dir: str | None = None,
 
 _RUNTIME_ERRORS = (FlowBlowup, ZeroVelocityParticle, TooLarge, MissingSnapshot,
                    DimensionMismatch)
-_CONFIG_ERRORS = (ParseError, ValidationError, BadKernelParams, BadBand)
+_CONFIG_ERRORS = (ParseError, ValidationError, BadKernelParams)
 
 
 def main(argv=None) -> int:

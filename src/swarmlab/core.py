@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadBand, DimensionMismatch, ParseError, ValidationError,
-                     ZeroVelocityParticle)
+from .errors import DimensionMismatch, ParseError, ValidationError, ZeroVelocityParticle
 
 MASS_TOL = 1e-12          # |sum(w) - 1| allowed at construction
 SPHERE_RADIUS_TOL = 1e-12  # relative deviation of |v| from r
@@ -166,14 +165,6 @@ def moments(ens: PhaseEnsemble) -> MomentReport:
         speed_max=float(np.max(speeds)),
         pos_radius_max=float(np.max(pos_r)),
     )
-
-
-def support_in_band(ens: PhaseEnsemble, lo: float, hi: float) -> bool:
-    """True iff every particle speed lies in [lo, hi]."""
-    if lo > hi:
-        raise BadBand(f"need lo <= hi, got [{lo}, {hi}]")
-    speeds = ens.speeds()
-    return bool(np.all(speeds >= lo) and np.all(speeds <= hi))
 
 
 # ---------------------------------------------------------------------------

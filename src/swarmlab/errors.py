@@ -18,18 +18,6 @@ class FlowBlowup(SwarmError):
     """Backward relaxation flow requested past its finite blow-up time."""
 
 
-class BadBand(SwarmError):
-    """Speed-band ordering violated (expects 0 < lo < r < hi, or lo <= hi)."""
-
-
-class UnsupportedPsi(SwarmError):
-    """Test function support touches the origin or the equilibrium sphere."""
-
-
-class PoleSingularity(SwarmError):
-    """Spherical-coordinate operation evaluated too close to a pole."""
-
-
 class TooLarge(SwarmError):
     """Problem size exceeds a cap of the exact W1 solvers; the message names
     the bound exceeded."""

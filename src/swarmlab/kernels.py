@@ -35,27 +35,26 @@ any N probed (OpenBLAS 0.3.31, 1 against 2 threads, N = 560 to 8192, d = 2
 and 3). That is an empirical fact about this library, not a guarantee:
 128- and 256-row blocks differed at some N.
 
-Every KernelSpec carries certified sup-norm bounds for its ingredients; the
-built-in families derive them in closed form.
+The closed-form sup-norm bounds of each family, and the field-gap constant
+built from them, are checks of the suite and live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import BadKernelParams, ValidationError
+from .errors import BadKernelParams
 
 BLOCK_ROWS = 64  # rows per BLAS call of a pair product; see the module docstring
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A radial potential/weight pair with certified bounds.
+    """A radial potential/weight pair.
 
     Both profiles take the matrix s of squared pair distances, a buffer the
     pair build no longer needs, and the weights w, and overwrite s_ij with
@@ -66,25 +65,8 @@ class KernelSpec:
 
     name: str
     params: dict
-    norm_U_hess: float
-    norm_grad_U: float
-    norm_h: float
-    norm_grad_h: float
     potential: Callable | None = None   # (s, w) -> energy; s becomes w_j U'(s)
     h: Callable | None = None           # (s, w); s becomes w_j h(s)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Per-particle acceleration vectors and their sup-norm."""
-
-    a: np.ndarray       # (n, d)
-    sup_norm: float
-
-    def __post_init__(self):
-        arr = np.array(self.a, dtype=float, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
 
 
 def _gaussian_family(c_a, l_a, c_r, l_r):
@@ -108,12 +90,7 @@ def _gaussian_family(c_a, l_a, c_r, l_r):
             du = e
         return 0.5 * energy
 
-    # Single-Gaussian bounds attained at the origin (Hessian) and at
-    # rho = ell/sqrt(2) (gradient); the sum is bounded by the triangle
-    # inequality, exact whenever one amplitude is zero.
-    hess_bound = 2 * c_a / l_a**2 + 2 * c_r / l_r**2
-    grad_bound = math.sqrt(2.0) * math.exp(-0.5) * (c_a / l_a + c_r / l_r)
-    return potential if terms else None, hess_bound, grad_bound
+    return potential if terms else None
 
 
 def _cucker_smale_family(k, gamma):
@@ -125,10 +102,7 @@ def _cucker_smale_family(k, gamma):
             s **= gamma
         np.divide(k * w, s, out=s)
 
-    # |grad h| = 2 gamma k rho (1+rho^2)^(-gamma-1) peaks at rho^2 = 1/(2 gamma + 1).
-    rho_star = 1.0 / math.sqrt(2.0 * gamma + 1.0)
-    grad_bound = 2.0 * gamma * k * rho_star * (1.0 + rho_star**2) ** (-(gamma + 1.0))
-    return h, k, grad_bound
+    return h
 
 
 def _constant_profile(k):
@@ -151,24 +125,19 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
     """
     params = dict(params or {})
     if name == "zero_potential":
-        spec = KernelSpec(name=name, params={}, norm_U_hess=0.0,
-                          norm_grad_U=0.0, norm_h=0.0, norm_grad_h=0.0)
+        spec = KernelSpec(name=name, params={})
     elif name == "constant_weight":
         k = float(params.get("K", 1.0))
         if k <= 0:
             raise BadKernelParams(f"constant_weight needs K > 0, got {k}")
-        spec = KernelSpec(name=name, params={"K": k}, norm_U_hess=0.0,
-                          norm_grad_U=0.0, norm_h=k, norm_grad_h=0.0,
-                          h=_constant_profile(k))
+        spec = KernelSpec(name=name, params={"K": k}, h=_constant_profile(k))
     elif name == "cucker_smale_weight":
         k = float(params.get("K", 1.0))
         gamma = float(params.get("gamma", 1.0))
         if k <= 0 or gamma <= 0:
             raise BadKernelParams(f"cucker_smale_weight needs K, gamma > 0, got {k}, {gamma}")
-        h, norm_h, norm_grad_h = _cucker_smale_family(k, gamma)
         spec = KernelSpec(name=name, params={"K": k, "gamma": gamma},
-                          norm_U_hess=0.0, norm_grad_U=0.0, norm_h=norm_h,
-                          norm_grad_h=norm_grad_h, h=h)
+                          h=_cucker_smale_family(k, gamma))
     elif name == "gaussian_attraction_repulsion":
         c_a = float(params.get("C_A", 1.0))
         l_a = float(params.get("l_A", 1.0))
@@ -178,10 +147,8 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
             raise BadKernelParams(f"gaussian scales must be positive, got l_A={l_a}, l_R={l_r}")
         if c_a < 0 or c_r < 0:
             raise BadKernelParams("gaussian amplitudes C_A, C_R must be nonnegative")
-        potential, hess_bound, grad_bound = _gaussian_family(c_a, l_a, c_r, l_r)
         spec = KernelSpec(name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
-                          norm_U_hess=hess_bound, norm_grad_U=grad_bound,
-                          norm_h=0.0, norm_grad_h=0.0, potential=potential)
+                          potential=_gaussian_family(c_a, l_a, c_r, l_r))
     else:
         raise BadKernelParams(f"unknown kernel family {name!r}")
     if set(params) - set(spec.params):
@@ -192,13 +159,13 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
 
 def compose_kernels(potential_spec: KernelSpec, weight_spec: KernelSpec) -> KernelSpec:
     """Merge a potential-only spec with a weight-only spec into one interaction."""
-    if potential_spec.norm_h != 0.0 or weight_spec.norm_grad_U != 0.0:
+    if potential_spec.h is not None or weight_spec.potential is not None:
         raise BadKernelParams("compose expects (potential-only, weight-only)")
     return replace(
         potential_spec,
         name=f"{potential_spec.name}+{weight_spec.name}",
         params={"potential": potential_spec.params, "weight": weight_spec.params},
-        h=weight_spec.h, norm_h=weight_spec.norm_h, norm_grad_h=weight_spec.norm_grad_h,
+        h=weight_spec.h,
     )
 
 
@@ -257,23 +224,3 @@ class PairOperator:
         a -= self.h_rowsum[:, None] * v
         a += self.force
         return a
-
-
-def acceleration(ens, spec: KernelSpec) -> FieldSample:
-    """Mean-field acceleration of every particle against the full ensemble,
-    in either regime (with or without a sphere radius). The pair sums are BLAS
-    products over fixed row blocks, so their bytes did not depend on the BLAS
-    thread count wherever that was probed (see the module docstring).
-    """
-    a = PairOperator(ens.w, spec).build(ens.x).field(ens.v)
-    sup = float(np.max(np.sqrt(np.sum(a * a, axis=1)))) if a.size else 0.0
-    return FieldSample(a=a, sup_norm=sup)
-
-
-def field_gap_bound(spec: KernelSpec, R: float) -> float:
-    """Lipschitz constant tying the field gap of two measures to their W1 gap:
-    ||a_f - a_g||_inf <= field_gap_bound(spec, R) * W1(f, g) whenever both
-    measures live in velocities of norm at most R."""
-    if not R > 0:
-        raise ValidationError(f"speed-support radius must be positive, got {R}")
-    return spec.norm_U_hess + math.sqrt(spec.norm_h**2 + 4.0 * R**2 * spec.norm_grad_h**2)

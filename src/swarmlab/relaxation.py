@@ -10,11 +10,10 @@ S(v) = (1/2 alpha) ln(1 - r^2/|v|^2) when |v| > r.
 
 Under a bounded forcing of amplitude A the speed balance
 lambda_eps(rho) = eps*A + (alpha - beta rho^2) rho controls everything:
-its roots bracket the invariant speed band, their eps-asymptotics are
-|A|/alpha and |A|/(2 alpha), and the crossing-time integral
-int d(rho) / ((alpha - beta rho^2) rho) yields both trapping-time bounds and
-the adjoint potential solving -(alpha - beta|v|^2) v . grad(phi) = psi for
-annulus-supported psi.
+its roots bracket the invariant speed band, and their eps-asymptotics are
+|A|/alpha and |A|/(2 alpha). The trapping times and the adjoint potential,
+which follow from the crossing-time integral of the same flow, are checks
+of the suite and live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import ModelParams
-from .errors import BadBand, FlowBlowup, UnsupportedPsi, ValidationError
+from .errors import FlowBlowup, ValidationError
 
 RADICAND_GUARD = 1e-12  # relative guard band before declaring blow-up
 
@@ -174,88 +173,3 @@ def speed_flow(u: float, s: float, params: ModelParams) -> float:
     if u == 0.0:
         return 0.0
     return float(np.sqrt(np.sum(free_flow(np.array([u]), s, params) ** 2)))
-
-
-def crossing_time(rho_a: float, rho_b: float, params: ModelParams) -> float:
-    """Time for the flow to carry speed rho_a to rho_b, i.e. the integral of
-    d(rho) / ((alpha - beta rho^2) rho) between them. Both speeds must lie
-    strictly on the same side of the sphere (neither touching 0 nor r)."""
-    r2 = params.r**2
-    for rho in (rho_a, rho_b):
-        if rho <= 0 or rho == params.r:
-            raise ValidationError(f"crossing time undefined at rho={rho}")
-    same_side = (rho_a < params.r) == (rho_b < params.r)
-    if not same_side:
-        raise ValidationError("speeds lie on opposite sides of the sphere")
-    ratio = (rho_b**2 * (rho_a**2 - r2)) / (rho_a**2 * (rho_b**2 - r2))
-    return math.log(ratio) / (2.0 * params.alpha)
-
-
-def trapping_time_bounds(r0: float, R0: float, eps: float, params: ModelParams):
-    """Worst-case times to reach the eps-widened invariant band:
-    from below (speed r0) and from above (speed R0)."""
-    r = params.r
-    if not (0 < r0 < r < R0):
-        raise BadBand(f"need 0 < r0 < r < R0, got r0={r0}, r={r}, R0={R0}")
-    if eps >= r - r0 or eps >= R0 - r:
-        raise BadBand(f"eps={eps} too large for positive log in the bounds")
-    t1 = eps / (2.0 * params.beta * r0**2) * math.log((r - r0) / eps)
-    t2 = eps / (2.0 * params.beta * r**2) * math.log((R0 - r) / eps)
-    return (t1, t2)
-
-
-def adjoint_potential(psi, v, params: ModelParams, support, tol: float = 1e-10) -> float:
-    """Bounded C1 potential phi with -(alpha - beta|v|^2) v . grad(phi) = psi.
-
-    psi must be continuous with support inside the two open annuli
-    r1 < |v| < r2 < r and r < r3 < |v| < r4 given by ``support``; phi is the
-    line integral of psi along the closed-form flow over the finite window in
-    which the trajectory crosses the support. phi vanishes for |v| <= r1 and
-    is constant along rays through the support gaps, which makes it constant
-    on r2 <= |v| <= r3 (including the equilibrium sphere itself).
-    """
-    r1, r2, r3, r4 = support
-    r = params.r
-    if not (0.0 < r1 < r2 < r < r3 < r4):
-        raise UnsupportedPsi(
-            f"support radii must satisfy 0 < r1 < r2 < r < r3 < r4, got {support}"
-        )
-    # imported here: scipy.integrate would add its load time to `import swarmlab`
-    from scipy.integrate import quad
-
-    v = np.asarray(v, dtype=float)
-    u = float(np.sqrt(np.sum(v * v)))
-
-    def line_integral(start, t0, t1):
-        return quad(lambda t: psi(free_flow(start, t, params)), t0, t1,
-                    epsabs=tol, epsrel=0.0)[0]
-
-    def phi_inner(speed, direction):
-        # -int_{tau1}^{0} psi(V(tau; speed*dir)) dtau, tau1 = flow time back to r1
-        if speed <= r1:
-            return 0.0
-        start = direction * speed
-        tau1 = crossing_time(speed, r1, params)  # negative
-        return -line_integral(start, tau1, 0.0)
-
-    if u <= r1:
-        return 0.0
-    direction = v / u
-    if u < r2:
-        return phi_inner(u, direction)
-    base = phi_inner(r2, direction)
-    if u <= r3:
-        return base
-    u_eff = min(u, r4)  # phi is constant along rays beyond r4
-    start = direction * u_eff
-    tau3 = crossing_time(u_eff, r3, params)  # positive: outward flow decays to r3
-    outer = line_integral(start, 0.0, tau3)
-    return base + outer
-
-
-def adjoint_sup_bound(params: ModelParams, support, psi_sup: float) -> float:
-    """Crossing-time bound |phi| <= (T(r1->r2) + T(r4->r3)) * sup|psi|."""
-    r1, r2, r3, r4 = support
-    t_in = crossing_time(r1, r2, params)
-    t_out = crossing_time(r4, r3, params)
-    return (t_in + t_out) * psi_sup

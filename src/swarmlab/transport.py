@@ -1,10 +1,10 @@
 """Exact Wasserstein-1 between weighted particle ensembles, plus the
-convergence and equicontinuity experiment harness built on top of it.
+convergence study built on top of it.
 
 Ground metric: Euclidean norm on the concatenated (x, v) state, the product
-norm under which the field-gap estimate of `kernels.field_gap_bound` is
-stated. No entropic regularization anywhere: acceptance tests need exact
-optima.
+norm under which the paper's W1-Lipschitz field-gap estimate is stated (its
+constant is checked in `tests/oracles.py`). No entropic regularization
+anywhere: acceptance tests need exact optima.
 
 Routing, decided once by `exact_solver` before any cost matrix is built.
 EXACT_CAP is the atom count of one exact solve. Uniform weights on n and m
@@ -47,8 +47,6 @@ from .errors import (
     ValidationError,
 )
 from .eps_dynamics import SimConfig, simulate, unstored_times
-from .kernels import acceleration
-from .relaxation import solve_roots
 
 EXACT_CAP = 2048  # atoms in one exact solve: replicas L, or n + m for the LP
 LP_CAP = 300_000  # plan entries n*m of the transport LP
@@ -249,43 +247,3 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
         w1, ms = solved[id(a), id(b)]
         rows.append({"eps": eps, "t": t, "w1": w1, "runtime_ms": ms})
     return ConvergenceTable(rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class EquicontinuityReport:
-    max_ratio: float
-    bound_constant: float
-    worst_pair: tuple
-    n_pairs: int
-
-
-def equicontinuity_probe(trajectory, t_pairs) -> EquicontinuityReport:
-    """Empirical Lipschitz ratio sup W1(f(t), f(s)) / |t - s| over the given
-    pairs, reported against the constant assembled from the measured field
-    amplitude: A + beta (r + R0) R0 max((rho3 - r)/eps, (r - rho2)/eps) + R0."""
-    ratios = []
-    pairs = list(t_pairs)
-    if not pairs:
-        raise ValidationError("equicontinuity probe needs at least one (t, s) "
-                              "pair; the pair list is empty")
-    for (t, s) in pairs:
-        if t == s:
-            raise ValidationError("equicontinuity ratio needs t != s")
-        rep = w1_exact(trajectory.snapshot_at(t), trajectory.snapshot_at(s))
-        ratios.append(rep.value / abs(t - s))
-    k = int(np.argmax(ratios))
-    cfg = trajectory.cfg
-    p = cfg.params
-    a_meas = max(acceleration(s, cfg.spec).sup_norm for s in trajectory.snapshots)
-    r0_meas = max(rep.speed_max for rep in trajectory.moment_reports)
-    low = solve_roots(p.eps, -a_meas, p) if a_meas > 0 else None
-    high = solve_roots(p.eps, a_meas, p) if a_meas > 0 else None
-    if a_meas == 0.0:
-        band = 0.0
-    elif low is not None and low.validity and high.rho3 is not None:
-        band = max((high.rho3 - p.r) / p.eps, (p.r - low.rho2) / p.eps)
-    else:
-        band = math.inf
-    const = a_meas + p.beta * (p.r + r0_meas) * r0_meas * band + r0_meas
-    return EquicontinuityReport(max_ratio=float(max(ratios)), bound_constant=const,
-                                worst_pair=pairs[k], n_pairs=len(pairs))

@@ -1,22 +1,51 @@
-"""Closed-form reference evaluators for the kernel families and 3D charts.
+"""The paper's analytic facts as executable checks; the package never calls
+anything here.
 
-Each function writes its family's formula out from the spec's name and
-parameters (the table in `builtin_kernels`' docstring) and never calls the
-spec's profiles, so a wrong profile in `swarmlab.kernels` shows up as a gap
-between the pair sums and these oracles. A composed spec is split into its
-potential and weight parts.
-
-The kernel evaluators are vectorized over leading axes: potential and
-align_weight map (..., d) -> (...), the gradients map (..., d) -> (..., d),
-and hess_potential maps (d,) -> (d, d).
+- Kernel evaluators and bound formulas, keyed on the spec's name and
+  parameters (the table in `builtin_kernels`' docstring; a composed spec is
+  split into its parts). They never call the spec's profiles, so a wrong
+  profile in `swarmlab.kernels` shows up as a gap between the pair sums and
+  these oracles. potential and align_weight map (..., d) -> (...), the
+  gradients (..., d) -> (..., d), hess_potential (d,) -> (d, d); `sup_norms`
+  gives each family's closed-form sup norms, `field_gap_bound` the
+  W1-Lipschitz constant of the field gap.
+- Relaxation: crossing times, the trapping-time bounds, the adjoint
+  potential and its sup bound.
+- Sphere: three routes to the intrinsic Laplacian; the 3D chart point, frame
+  and divergence, whose chart operations exclude POLE_BAND around the poles.
+- Harnesses over whole runs, built on the program's field and W1:
+  `support_in_band` and the equicontinuity probe.
 """
 
+from __future__ import annotations
+
 import math
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
-from swarmlab.errors import PoleSingularity
-from swarmlab.sphere_dynamics import POLE_BAND
+from swarmlab.core import ModelParams, PhaseEnsemble
+from swarmlab.errors import ValidationError, ZeroVelocityParticle
+from swarmlab.relaxation import free_flow, solve_roots
+from swarmlab.transport import w1_exact
+
+from conftest import field_sup
+
+POLE_BAND = 1e-10  # excluded |sin(theta)| margin for chart-based operations
+
+
+class BadBand(ValueError):
+    """Speed-band ordering violated (expects 0 < lo < r < hi, or lo <= hi)."""
+
+
+class UnsupportedPsi(ValueError):
+    """Test function support touches the origin or the equilibrium sphere."""
+
+
+class PoleSingularity(ValueError):
+    """Spherical-coordinate operation evaluated too close to a pole."""
 
 
 def _family(spec, part):
@@ -91,6 +120,202 @@ def grad_align_weight(spec, x):
     return (-2.0 * gamma * p["K"] * (1.0 + s) ** (-gamma - 1.0))[..., None] * x
 
 
+SupNorms = namedtuple("SupNorms", "norm_U_hess norm_grad_U norm_h norm_grad_h")
+
+
+def sup_norms(spec) -> SupNorms:
+    """Certified sup-norm bounds of a spec's ingredients, in closed form."""
+    name, p = _family(spec, "potential")
+    hess_bound = grad_bound = 0.0
+    if name == "gaussian_attraction_repulsion":
+        c_a, l_a, c_r, l_r = p["C_A"], p["l_A"], p["C_R"], p["l_R"]
+        # Single-Gaussian bounds attained at the origin (Hessian) and at
+        # rho = ell/sqrt(2) (gradient); the sum is bounded by the triangle
+        # inequality, exact whenever one amplitude is zero.
+        hess_bound = 2 * c_a / l_a**2 + 2 * c_r / l_r**2
+        grad_bound = math.sqrt(2.0) * math.exp(-0.5) * (c_a / l_a + c_r / l_r)
+    name, p = _family(spec, "weight")
+    norm_h = norm_grad_h = 0.0
+    if name == "cucker_smale_weight":
+        k, gamma = p["K"], p["gamma"]
+        # |grad h| = 2 gamma k rho (1+rho^2)^(-gamma-1) peaks at rho^2 = 1/(2 gamma + 1).
+        rho_star = 1.0 / math.sqrt(2.0 * gamma + 1.0)
+        norm_h = k
+        norm_grad_h = 2.0 * gamma * k * rho_star * (1.0 + rho_star**2) ** (-(gamma + 1.0))
+    elif name == "constant_weight":
+        norm_h = p["K"]
+    return SupNorms(hess_bound, grad_bound, norm_h, norm_grad_h)
+
+
+def field_gap_bound(norms: SupNorms, R: float) -> float:
+    """Lipschitz constant tying the field gap of two measures to their W1 gap:
+    ||a_f - a_g||_inf <= field_gap_bound(sup_norms(spec), R) * W1(f, g)
+    whenever both measures live in velocities of norm at most R."""
+    if not R > 0:
+        raise ValidationError(f"speed-support radius must be positive, got {R}")
+    return norms.norm_U_hess + math.sqrt(norms.norm_h**2 + 4.0 * R**2 * norms.norm_grad_h**2)
+
+
+# ---------------------------------------------------------------------------
+# Relaxation: the crossing-time integral int d(rho) / ((alpha - beta rho^2) rho).
+# ---------------------------------------------------------------------------
+
+def crossing_time(rho_a: float, rho_b: float, params: ModelParams) -> float:
+    """Time for the flow to carry speed rho_a to rho_b, i.e. the integral of
+    d(rho) / ((alpha - beta rho^2) rho) between them. Both speeds must lie
+    strictly on the same side of the sphere (neither touching 0 nor r)."""
+    r2 = params.r**2
+    for rho in (rho_a, rho_b):
+        if rho <= 0 or rho == params.r:
+            raise ValidationError(f"crossing time undefined at rho={rho}")
+    same_side = (rho_a < params.r) == (rho_b < params.r)
+    if not same_side:
+        raise ValidationError("speeds lie on opposite sides of the sphere")
+    ratio = (rho_b**2 * (rho_a**2 - r2)) / (rho_a**2 * (rho_b**2 - r2))
+    return math.log(ratio) / (2.0 * params.alpha)
+
+
+def trapping_time_bounds(r0: float, R0: float, eps: float, params: ModelParams):
+    """Worst-case times to reach the eps-widened invariant band:
+    from below (speed r0) and from above (speed R0)."""
+    r = params.r
+    if not (0 < r0 < r < R0):
+        raise BadBand(f"need 0 < r0 < r < R0, got r0={r0}, r={r}, R0={R0}")
+    if eps >= r - r0 or eps >= R0 - r:
+        raise BadBand(f"eps={eps} too large for positive log in the bounds")
+    t1 = eps / (2.0 * params.beta * r0**2) * math.log((r - r0) / eps)
+    t2 = eps / (2.0 * params.beta * r**2) * math.log((R0 - r) / eps)
+    return (t1, t2)
+
+
+def adjoint_potential(psi, v, params: ModelParams, support, tol: float = 1e-10) -> float:
+    """Bounded C1 potential phi with -(alpha - beta|v|^2) v . grad(phi) = psi.
+
+    psi must be continuous with support inside the two open annuli
+    r1 < |v| < r2 < r and r < r3 < |v| < r4 given by ``support``; phi is the
+    line integral of psi along the closed-form flow over the finite window in
+    which the trajectory crosses the support. phi vanishes for |v| <= r1 and
+    is constant along rays through the support gaps, which makes it constant
+    on r2 <= |v| <= r3 (including the equilibrium sphere itself).
+    """
+    r1, r2, r3, r4 = support
+    r = params.r
+    if not (0.0 < r1 < r2 < r < r3 < r4):
+        raise UnsupportedPsi(
+            f"support radii must satisfy 0 < r1 < r2 < r < r3 < r4, got {support}"
+        )
+    v = np.asarray(v, dtype=float)
+    u = float(np.sqrt(np.sum(v * v)))
+
+    def line_integral(start, t0, t1):
+        return quad(lambda t: psi(free_flow(start, t, params)), t0, t1,
+                    epsabs=tol, epsrel=0.0)[0]
+
+    def phi_inner(speed, direction):
+        # -int_{tau1}^{0} psi(V(tau; speed*dir)) dtau, tau1 = flow time back to r1
+        if speed <= r1:
+            return 0.0
+        start = direction * speed
+        tau1 = crossing_time(speed, r1, params)  # negative
+        return -line_integral(start, tau1, 0.0)
+
+    if u <= r1:
+        return 0.0
+    direction = v / u
+    if u < r2:
+        return phi_inner(u, direction)
+    base = phi_inner(r2, direction)
+    if u <= r3:
+        return base
+    u_eff = min(u, r4)  # phi is constant along rays beyond r4
+    start = direction * u_eff
+    tau3 = crossing_time(u_eff, r3, params)  # positive: outward flow decays to r3
+    outer = line_integral(start, 0.0, tau3)
+    return base + outer
+
+
+def adjoint_sup_bound(params: ModelParams, support, psi_sup: float) -> float:
+    """Crossing-time bound |phi| <= (T(r1->r2) + T(r4->r3)) * sup|psi|."""
+    r1, r2, r3, r4 = support
+    t_in = crossing_time(r1, r2, params)
+    t_out = crossing_time(r4, r3, params)
+    return (t_in + t_out) * psi_sup
+
+
+# ---------------------------------------------------------------------------
+# Spherical calculus: three independent routes to the intrinsic Laplacian.
+# ---------------------------------------------------------------------------
+
+def laplace_beltrami_via_extension(phi, omega, r: float, step: float | None = None) -> float:
+    """Intrinsic Laplacian of phi at omega computed as the ambient Laplacian
+    of the degree-zero homogeneous extension Phi(y) = phi(r y / |y|),
+    by central differences with step ~ 1e-4 r."""
+    omega = np.asarray(omega, dtype=float)
+    h = 1e-4 * r if step is None else step
+    d = omega.shape[0]
+
+    def ext(y):
+        norm = math.sqrt(float(np.sum(y * y)))
+        return float(phi(y * (r / norm)))
+
+    center = ext(omega)
+    total = 0.0
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        total += ext(omega + e) - 2.0 * center + ext(omega - e)
+    return total / (h * h)
+
+
+def zero_hom_laplacian_formula(phi, v, r: float, step: float | None = None) -> float:
+    """Off-sphere evaluation of the same Laplacian through the projected-
+    Hessian identity
+
+        (r/|v|)^2 (I - vv/|v|^2) : Hess(phi)(r v/|v|)
+            - 2 (r/|v|) (v . grad(phi)(r v/|v|)) / |v|^2
+
+    with the derivatives of phi taken by central differences. The scalar
+    coefficient 2 in the radial term is the 3D value, so this route is a
+    three-dimensional verification tool."""
+    v = np.asarray(v, dtype=float)
+    vnorm = math.sqrt(float(np.sum(v * v)))
+    if vnorm == 0.0:
+        raise ZeroVelocityParticle("formula undefined at v = 0")
+    h = 1e-4 * r if step is None else step
+    d = v.shape[0]
+    u = v * (r / vnorm)
+
+    def f(y):
+        return float(phi(y))
+
+    grad = np.zeros(d)
+    hess = np.zeros((d, d))
+    center = f(u)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        fp, fm = f(u + ei), f(u - ei)
+        grad[i] = (fp - fm) / (2.0 * h)
+        hess[i, i] = (fp - 2.0 * center + fm) / (h * h)
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            val = (f(u + ei + ej) - f(u + ei - ej)
+                   - f(u - ei + ej) + f(u - ei - ej)) / (4.0 * h * h)
+            hess[i, j] = hess[j, i] = val
+    vhat = v / vnorm
+    proj_hess = float(np.trace(hess)) - float(vhat @ hess @ vhat)
+    radial = float(np.dot(v, grad)) / (vnorm * vnorm)
+    scale = r / vnorm
+    return scale * scale * proj_hess - 2.0 * scale * radial
+
+
+def sphere_point_3d(theta: float, phi: float, r: float) -> np.ndarray:
+    return r * np.array([math.cos(theta) * math.cos(phi),
+                         math.cos(theta) * math.sin(phi),
+                         math.sin(theta)])
+
+
 def _check_pole(theta):
     if abs(math.sin(theta)) >= 1.0 - POLE_BAND:
         raise PoleSingularity(f"chart operation undefined within {POLE_BAND} of a pole")
@@ -121,3 +346,71 @@ def spherical_divergence_3d(xi_theta, xi_phi, theta, phi, r, step=1e-4):
     d_theta = (g(theta + h) - g(theta - h)) / (2.0 * h)
     d_phi = (xi_phi(theta, phi + h) - xi_phi(theta, phi - h)) / (2.0 * h)
     return (d_theta / math.cos(theta) + d_phi) / r
+
+
+def spherical_laplacian_3d(F, theta: float, phi: float, r: float,
+                           step: float = 1e-4) -> float:
+    """(1/r^2) { (1/cos t) d_t(cos t d_t F) + (1/cos^2 t) d_pp F } by central
+    finite differences of the chart function F(theta, phi)."""
+    _check_pole(theta)
+    h = step
+    f0 = F(theta, phi)
+    f_tp = F(theta + h, phi)
+    f_tm = F(theta - h, phi)
+    d_theta = (f_tp - f_tm) / (2.0 * h)
+    d2_theta = (f_tp - 2.0 * f0 + f_tm) / (h * h)
+    d2_phi = (F(theta, phi + h) - 2.0 * f0 + F(theta, phi - h)) / (h * h)
+    cos_t = math.cos(theta)
+    return (d2_theta - math.tan(theta) * d_theta + d2_phi / (cos_t * cos_t)) / (r * r)
+
+
+# ---------------------------------------------------------------------------
+# Harnesses over whole runs.
+# ---------------------------------------------------------------------------
+
+def support_in_band(ens: PhaseEnsemble, lo: float, hi: float) -> bool:
+    """True iff every particle speed lies in [lo, hi]."""
+    if lo > hi:
+        raise BadBand(f"need lo <= hi, got [{lo}, {hi}]")
+    speeds = ens.speeds()
+    return bool(np.all(speeds >= lo) and np.all(speeds <= hi))
+
+
+@dataclass(frozen=True)
+class EquicontinuityReport:
+    max_ratio: float
+    bound_constant: float
+    worst_pair: tuple
+    n_pairs: int
+
+
+def equicontinuity_probe(trajectory, t_pairs) -> EquicontinuityReport:
+    """Empirical Lipschitz ratio sup W1(f(t), f(s)) / |t - s| over the given
+    pairs, reported against the constant assembled from the measured field
+    amplitude: A + beta (r + R0) R0 max((rho3 - r)/eps, (r - rho2)/eps) + R0."""
+    ratios = []
+    pairs = list(t_pairs)
+    if not pairs:
+        raise ValidationError("equicontinuity probe needs at least one (t, s) "
+                              "pair; the pair list is empty")
+    for (t, s) in pairs:
+        if t == s:
+            raise ValidationError("equicontinuity ratio needs t != s")
+        rep = w1_exact(trajectory.snapshot_at(t), trajectory.snapshot_at(s))
+        ratios.append(rep.value / abs(t - s))
+    k = int(np.argmax(ratios))
+    cfg = trajectory.cfg
+    p = cfg.params
+    a_meas = max(field_sup(s, cfg.spec) for s in trajectory.snapshots)
+    r0_meas = max(rep.speed_max for rep in trajectory.moment_reports)
+    low = solve_roots(p.eps, -a_meas, p) if a_meas > 0 else None
+    high = solve_roots(p.eps, a_meas, p) if a_meas > 0 else None
+    if a_meas == 0.0:
+        band = 0.0
+    elif low is not None and low.validity and high.rho3 is not None:
+        band = max((high.rho3 - p.r) / p.eps, (p.r - low.rho2) / p.eps)
+    else:
+        band = math.inf
+    const = a_meas + p.beta * (p.r + r0_meas) * r0_meas * band + r0_meas
+    return EquicontinuityReport(max_ratio=float(max(ratios)), bound_constant=const,
+                                worst_pair=pairs[k], n_pairs=len(pairs))

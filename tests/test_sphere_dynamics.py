@@ -10,19 +10,17 @@ from swarmlab import (
     ModelParams,
     PhaseEnsemble,
     builtin_kernels,
-    laplace_beltrami_via_extension,
     simulate,
     spherical_coords_3d,
-    spherical_laplacian_3d,
     tangential_projection,
-    zero_hom_laplacian_formula,
 )
 from swarmlab.eps_dynamics import SimConfig
-from swarmlab.errors import PoleSingularity, ValidationError, ZeroVelocityParticle
-from swarmlab.sphere_dynamics import sphere_point_3d
+from swarmlab.errors import ValidationError, ZeroVelocityParticle
 
 from conftest import make_sphere
-from oracles import spherical_divergence_3d, tangent_frame_3d
+from oracles import (PoleSingularity, laplace_beltrami_via_extension, sphere_point_3d,
+                     spherical_divergence_3d, spherical_laplacian_3d, tangent_frame_3d,
+                     zero_hom_laplacian_formula)
 
 ZERO = builtin_kernels("zero_potential")
 CONST = builtin_kernels("constant_weight", {"K": 1.0})

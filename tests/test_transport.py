@@ -15,7 +15,6 @@ from swarmlab import (
     PhaseEnsemble,
     builtin_kernels,
     convergence_study,
-    equicontinuity_probe,
     simulate,
     w1_exact,
 )
@@ -24,6 +23,7 @@ from swarmlab.errors import DimensionMismatch, TooLarge, ValidationError
 from swarmlab.transport import EXACT_CAP, ConvergenceTable, _w1_lp
 
 from conftest import make_phase, make_sphere
+from oracles import equicontinuity_probe
 
 ZERO = builtin_kernels("zero_potential")
 CS = builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
