@@ -25,6 +25,6 @@ from .relaxation import (
     solve_roots,
 )
 from .sphere_dynamics import spherical_coords_3d, tangential_projection
-from .transport import ConvergenceTable, W1Report, convergence_study, w1_exact
+from .transport import W1Report, convergence_study, w1_exact
 
 __all__ = [name for name in dir() if not name.startswith("_")]

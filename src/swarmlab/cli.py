@@ -37,7 +37,6 @@ from .errors import (
     BadKernelParams,
     DimensionMismatch,
     FlowBlowup,
-    MissingSnapshot,
     ParseError,
     SwarmError,
     TooLarge,
@@ -132,6 +131,11 @@ def _is_seed(value) -> bool:  # a seed is a Philox key word, a uint64
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
 
 
+# the least nonzero flow speed whose square is a normal float: once
+# e^(-2 alpha s) underflows, the flow divides v0 by sqrt(|v0|^2), which a
+# subnormal square makes inexact and a square underflowed to 0 makes inf
+_MIN_FLOW_SPEED = math.sqrt(sys.float_info.min)
+
 # (what a value must be, its test, the config values it applies to where given)
 _VALUE_KINDS = (
     ("a number", _is_number,
@@ -147,8 +151,9 @@ _VALUE_KINDS = (
      "compare.file_b output.directory"),
     ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
      "sweep.eps_list sweep.t_grid roots.eps_list flow.s_list"),
-    ("a list of speeds, numbers >= 0",
-     lambda v: isinstance(v, list) and all(_is_number(u) and u >= 0 for u in v), "flow.v0_list"),
+    (f"a list of speeds, each 0 or at least {_MIN_FLOW_SPEED:.3g} (a normal |v0|^2)",
+     lambda v: isinstance(v, list)
+     and all(_is_number(u) and (u == 0 or u >= _MIN_FLOW_SPEED) for u in v), "flow.v0_list"),
     ("an object of numbers",
      lambda v: isinstance(v, dict) and all(map(_is_number, v.values())), "kernels.params"),
     (f"a list drawn from {FORMATS}",
@@ -391,13 +396,10 @@ def _mode_sweep(cfg, seed, formats):
     eps_list = [float(e) for e in cfg.sweep["eps_list"]]
     t_grid = [float(t) for t in cfg.sweep["t_grid"]]
     # the one place a t_grid becomes a horizon: its last point, at least a step
-    base = _run_config(
-        cfg, ModelParams(params.alpha, params.beta, eps_list[0]), spec, seed,
-        horizon=max(*t_grid, float(cfg.integrator["dt"])),
-    )
-    table = convergence_study(ens, eps_list, t_grid, base)
+    base = _run_config(cfg, params, spec, seed,
+                       horizon=max(*t_grid, float(cfg.integrator["dt"])))
     rows = ([row["eps"], row["t"], row["w1"], ens.n, seed, row["runtime_ms"]]
-            for row in table.rows)
+            for row in convergence_study(ens, eps_list, t_grid, base))
     yield "sweep.csv", csv_text(["eps", "t", "w1", "n", "seed", "runtime_ms"], rows)
 
 
@@ -450,9 +452,8 @@ def run(cfg: RunConfig, output_dir: str | None = None,
     return manifest
 
 
-_RUNTIME_ERRORS = (FlowBlowup, ZeroVelocityParticle, TooLarge, MissingSnapshot,
-                   DimensionMismatch)
-_CONFIG_ERRORS = (ParseError, ValidationError, BadKernelParams)
+_RUNTIME_ERRORS = (FlowBlowup, ZeroVelocityParticle, TooLarge)
+_CONFIG_ERRORS = (ParseError, ValidationError, BadKernelParams, DimensionMismatch)
 
 
 def main(argv=None) -> int:

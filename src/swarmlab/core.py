@@ -132,7 +132,6 @@ class MomentReport:
     kinetic_energy: float   # (1/2) sum_i w_i |v_i|^2
     speed_min: float
     speed_max: float
-    pos_radius_max: float
 
     def __post_init__(self):
         object.__setattr__(self, "momentum", _frozen_array(self.momentum))
@@ -156,14 +155,12 @@ def moments(ens: PhaseEnsemble) -> MomentReport:
     """Weighted moments and support diagnostics of an ensemble."""
     speeds2 = np.sum(ens.v * ens.v, axis=1)
     speeds = np.sqrt(speeds2)
-    pos_r = np.sqrt(np.sum(ens.x * ens.x, axis=1))
     return MomentReport(
         mass=float(np.sum(ens.w)),
         momentum=np.sum(ens.w[:, None] * ens.v, axis=0),
         kinetic_energy=0.5 * float(np.sum(ens.w * speeds2)),
         speed_min=float(np.min(speeds)),
         speed_max=float(np.max(speeds)),
-        pos_radius_max=float(np.max(pos_r)),
     )
 
 

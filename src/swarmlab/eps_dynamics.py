@@ -25,7 +25,8 @@ reproducible at any worker count.
 splitting step above, one with a radius r (speeds fixed at r) the limit step
 of `sphere_dynamics`. Either way each step takes one PairOperator built at its
 start positions and leaves it built at its end positions: K + 1 builds for K
-steps, and each snapshot's interaction energy comes with its build.
+steps, and each snapshot's interaction energy comes with its build. Which
+snapshot a time point means is read off the config alone (`snapshot_indices`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import noise
 from .core import ModelParams, PhaseEnsemble, moments
-from .errors import MissingSnapshot, ValidationError
+from .errors import ValidationError
 from .kernels import KernelSpec, PairOperator
 from .relaxation import free_flow
 from .sphere_dynamics import advance_limit
@@ -70,7 +71,6 @@ class SimConfig:
 class Trajectory:
     """Ordered snapshots with per-snapshot moments and total energy."""
 
-    cfg: SimConfig
     times: tuple
     snapshots: tuple
     moment_reports: tuple
@@ -83,18 +83,6 @@ class Trajectory:
         counts = {s.n for s in self.snapshots}
         if len(counts) > 1:
             raise ValidationError("snapshot particle count changed mid-run")
-
-    def snapshot_at(self, t: float):
-        k = _snapshot_index(self.times, t, self.cfg.dt)
-        if k is None:
-            raise MissingSnapshot(f"no snapshot within dt/2 of t={t}")
-        return self.snapshots[k]
-
-
-def _snapshot_index(times, t, dt):
-    """The snapshot-time rule: the index of the first of `times` within dt/2
-    of t, or None."""
-    return next((k for k, tk in enumerate(times) if abs(tk - t) <= 0.5 * dt), None)
 
 
 def _kick(op, v, tau, shot=None):
@@ -135,10 +123,18 @@ def snapshot_steps(cfg: SimConfig) -> list:
     return [0, *range(cfg.snapshot_stride, n_steps, cfg.snapshot_stride), n_steps]
 
 
-def unstored_times(t0: float, cfg: SimConfig, ts) -> list:
-    """The points of ts that `snapshot_at` would miss in a run started at t0."""
+def snapshot_indices(t0: float, cfg: SimConfig, ts) -> list:
+    """The snapshot-time rule: for each t of ts, the index of the first stored
+    time t0 + k*dt (k in `snapshot_steps`) within dt/2 of t in a run started
+    at t0. ValidationError names the points no snapshot lands that near."""
     times = [t0 + k * cfg.dt for k in snapshot_steps(cfg)]
-    return [t for t in ts if _snapshot_index(times, t, cfg.dt) is None]
+    found = [next((k for k, tk in enumerate(times) if abs(tk - t) <= 0.5 * cfg.dt), None)
+             for t in ts]
+    missing = [t for t, k in zip(ts, found) if k is None]
+    if missing:
+        raise ValidationError(f"t_grid points {missing} lie more than dt/2 from every snapshot "
+                              f"time (dt={cfg.dt}, stride={cfg.snapshot_stride})")
+    return found
 
 
 def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
@@ -158,6 +154,6 @@ def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
             pair_energies.append(op.energy)
     reports = [moments(snap) for snap in snaps]
     energies = [rep.kinetic_energy + e for rep, e in zip(reports, pair_energies)]
-    return Trajectory(cfg=cfg, times=tuple(snap.time for snap in snaps),
+    return Trajectory(times=tuple(snap.time for snap in snaps),
                       snapshots=tuple(snaps), moment_reports=tuple(reports),
                       energies=tuple(energies))

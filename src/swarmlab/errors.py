@@ -27,10 +27,6 @@ class DimensionMismatch(SwarmError):
     """Operands live in different phase-space dimensions."""
 
 
-class MissingSnapshot(SwarmError):
-    """Requested time is not stored in the trajectory."""
-
-
 class ParseError(SwarmError):
     """Run configuration or snapshot text could not be parsed."""
 

@@ -172,4 +172,4 @@ def speed_flow(u: float, s: float, params: ModelParams) -> float:
     """Speed component of the flow: |V(s; v)| for |v| = u."""
     if u == 0.0:
         return 0.0
-    return float(np.sqrt(np.sum(free_flow(np.array([u]), s, params) ** 2)))
+    return float(abs(free_flow(np.array([u]), s, params)[0]))

@@ -20,10 +20,10 @@ On random 2-D phase clouds (2-CPU Xeon, scipy 1.17.1) the assignment took
 as a 1200-replica assignment against 1.3 s as an LP, which took 5.0 s at
 500x600.
 
-`convergence_study` runs its independent trajectories, then its distinct W1
-solves, on SWARM_THREADS lanes (default 1): the calling thread is lane 0, and
-each trajectory or solve is computed whole on one lane by the same
-operations, so the table is byte-identical at any lane count.
+`convergence_study` checks its inputs, then runs its trajectories, then its
+distinct W1 solves, on SWARM_THREADS lanes (default 1): the calling thread is
+lane 0, and each run or solve is computed whole on one lane by the same
+operations, so the rows it returns are byte-identical at any lane count.
 """
 
 from __future__ import annotations
@@ -40,13 +40,8 @@ from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
 from .core import project_measure
-from .errors import (
-    DimensionMismatch,
-    MissingSnapshot,
-    TooLarge,
-    ValidationError,
-)
-from .eps_dynamics import SimConfig, simulate, unstored_times
+from .errors import DimensionMismatch, TooLarge, ValidationError
+from .eps_dynamics import SimConfig, simulate, snapshot_indices
 
 EXACT_CAP = 2048  # atoms in one exact solve: replicas L, or n + m for the LP
 LP_CAP = 300_000  # plan entries n*m of the transport LP
@@ -184,54 +179,34 @@ def _w1_lp(cost, w_mu, w_nu) -> W1Report:
                     iterations=int(getattr(res, "nit", 0)), residual=marg_err)
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Rows of (eps, t, w1, runtime_ms)."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        by_t = {}
-        for row in self.rows:
-            by_t.setdefault(row["t"], []).append(row["eps"])
-        for t, eps_seq in by_t.items():
-            if any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
-                raise ValidationError(f"eps not strictly decreasing at t={t}")
-
-    def w1(self, eps, t):
-        for row in self.rows:
-            if row["eps"] == eps and row["t"] == t:
-                return row["w1"]
-        raise MissingSnapshot(f"no table row for eps={eps}, t={t}")
-
-
-def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTable:
+def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> tuple:
     """Run the stiff system at each eps and the sphere limit once to cfg.T,
     all from the same initial atoms (the limit starts from the projected
-    measure), and tabulate W1 between matching snapshots. A t_grid point no
-    snapshot lands within dt/2 of, or atoms past the exact W1 caps, are
-    rejected before anything is integrated. The runs [limit, *eps_list], then
-    the distinct snapshot pairs, are mapped over SWARM_THREADS lanes with the
-    caller as one of them (`_lanes_map`); a failing run or solve raises the
-    error of the first in that order, as a serial loop would."""
+    measure), and return the rows {eps, t, w1, runtime_ms}, t ascending per
+    eps: W1 between the snapshots `snapshot_indices` gives t. An eps_list not
+    strictly decreasing, a repeated t_grid point, one no snapshot lands
+    within dt/2 of, or atoms past the exact W1 caps are rejected before
+    anything is integrated. The runs [limit, *eps_list], then the distinct
+    snapshot pairs, are mapped over SWARM_THREADS lanes with the caller as
+    one of them (`_lanes_map`); a failing run or solve raises the error of
+    the first in that order, as a serial loop would."""
     eps_list = list(eps_list)
     t_grid = sorted(t_grid)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps_list must be strictly decreasing")
+    repeated = sorted({a for a, b in zip(t_grid, t_grid[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"t_grid points must be distinct; {repeated} repeated")
     if cfg.diffusion:
         raise ValidationError("convergence study compares the deterministic dynamics")
-    missing = unstored_times(f_in.time, cfg, t_grid)
-    if missing:
-        raise ValidationError(f"t_grid points {missing} lie more than dt/2 from every snapshot "
-                              f"time (dt={cfg.dt}, stride={cfg.snapshot_stride})")
+    ks = snapshot_indices(f_in.time, cfg, t_grid)
     exact_solver(f_in.w, f_in.w)  # every W1 pair has f_in's atom count and weights
     runs = [(project_measure(f_in, cfg.params.r), cfg)]
     runs += [(f_in, replace(cfg, params=replace(cfg.params, eps=eps))) for eps in eps_list]
     lim_traj, *trajs = _lanes_map(lambda run: simulate(*run), runs)
-    eps_trajs = dict(zip(eps_list, trajs))
 
-    cells = [(eps, t, eps_trajs[eps].snapshot_at(t), lim_traj.snapshot_at(t))
-             for eps in eps_list for t in t_grid]
+    cells = [(eps, t, traj.snapshots[k], lim_traj.snapshots[k])
+             for eps, traj in zip(eps_list, trajs) for t, k in zip(t_grid, ks)]
     # every eps run stores f_in itself as its first snapshot, so the rows at
     # t = f_in.time compare one pair: solve each distinct pair once
     pairs = {(id(a), id(b)): (a, b) for _, _, a, b in cells}
@@ -239,11 +214,7 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> ConvergenceTabl
     def solve(pair):
         tic = time.perf_counter()
         value = w1_exact(*pair).value
-        return value, 1000.0 * (time.perf_counter() - tic)
+        return {"w1": value, "runtime_ms": 1000.0 * (time.perf_counter() - tic)}
 
     solved = dict(zip(pairs, _lanes_map(solve, pairs.values())))
-    rows = []
-    for eps, t, a, b in cells:
-        w1, ms = solved[id(a), id(b)]
-        rows.append({"eps": eps, "t": t, "w1": w1, "runtime_ms": ms})
-    return ConvergenceTable(rows=tuple(rows))
+    return tuple({"eps": eps, "t": t, **solved[id(a), id(b)]} for eps, t, a, b in cells)

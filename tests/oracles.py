@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from swarmlab.core import ModelParams, PhaseEnsemble
+from swarmlab.eps_dynamics import snapshot_indices
 from swarmlab.errors import ValidationError, ZeroVelocityParticle
 from swarmlab.relaxation import free_flow, solve_roots
 from swarmlab.transport import w1_exact
@@ -384,10 +385,11 @@ class EquicontinuityReport:
     n_pairs: int
 
 
-def equicontinuity_probe(trajectory, t_pairs) -> EquicontinuityReport:
+def equicontinuity_probe(trajectory, cfg, t_pairs) -> EquicontinuityReport:
     """Empirical Lipschitz ratio sup W1(f(t), f(s)) / |t - s| over the given
-    pairs, reported against the constant assembled from the measured field
-    amplitude: A + beta (r + R0) R0 max((rho3 - r)/eps, (r - rho2)/eps) + R0."""
+    pairs of a trajectory `simulate` ran under cfg, reported against the
+    constant assembled from the measured field amplitude:
+    A + beta (r + R0) R0 max((rho3 - r)/eps, (r - rho2)/eps) + R0."""
     ratios = []
     pairs = list(t_pairs)
     if not pairs:
@@ -396,10 +398,10 @@ def equicontinuity_probe(trajectory, t_pairs) -> EquicontinuityReport:
     for (t, s) in pairs:
         if t == s:
             raise ValidationError("equicontinuity ratio needs t != s")
-        rep = w1_exact(trajectory.snapshot_at(t), trajectory.snapshot_at(s))
+        k_t, k_s = snapshot_indices(trajectory.times[0], cfg, [t, s])
+        rep = w1_exact(trajectory.snapshots[k_t], trajectory.snapshots[k_s])
         ratios.append(rep.value / abs(t - s))
     k = int(np.argmax(ratios))
-    cfg = trajectory.cfg
     p = cfg.params
     a_meas = max(field_sup(s, cfg.spec) for s in trajectory.snapshots)
     r0_meas = max(rep.speed_max for rep in trajectory.moment_reports)

@@ -180,8 +180,9 @@ def test_criterion_06_convergence_well_prepared():
         params)
     cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=1.0,
                     snapshot_stride=100, rng_seed=42)
-    table = sl.convergence_study(ens, [0.08, 0.04, 0.02], [1.0], cfg)
-    vals = [table.w1(e, 1.0) for e in (0.08, 0.04, 0.02)]
+    rows = sl.convergence_study(ens, [0.08, 0.04, 0.02], [1.0], cfg)
+    w1 = {(row["eps"], row["t"]): row["w1"] for row in rows}
+    vals = [w1[e, 1.0] for e in (0.08, 0.04, 0.02)]
     strictly_dec = all(b < a for a, b in zip(vals, vals[1:]))
     per_halving = all(1.0 - b / a >= 0.30 for a, b in zip(vals, vals[1:]))
     total = 1.0 - vals[-1] / vals[0] >= 0.50
@@ -200,9 +201,10 @@ def test_criterion_07_convergence_non_prepared():
          "distribution": "uniform_annulus", "seed": 42}, params)
     cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=0.5,
                     snapshot_stride=100, rng_seed=42)
-    table = sl.convergence_study(ens, [0.08, 0.04, 0.02], [0.0, 0.5], cfg)
-    at_half = [table.w1(e, 0.5) for e in (0.08, 0.04, 0.02)]
-    at_zero = [table.w1(e, 0.0) for e in (0.08, 0.04, 0.02)]
+    rows = sl.convergence_study(ens, [0.08, 0.04, 0.02], [0.0, 0.5], cfg)
+    w1 = {(row["eps"], row["t"]): row["w1"] for row in rows}
+    at_half = [w1[e, 0.5] for e in (0.08, 0.04, 0.02)]
+    at_zero = [w1[e, 0.0] for e in (0.08, 0.04, 0.02)]
     displacement = float(np.sum(ens.w * np.abs(ens.speeds() - params.r)))
     assert all(b < a for a, b in zip(at_half, at_half[1:]))
     for v in at_zero:
@@ -223,7 +225,7 @@ def test_criterion_08_equicontinuity():
                     snapshot_stride=40, rng_seed=8)
     traj = sl.simulate(ens, cfg)
     pairs = [(a, b) for a, b in itertools.combinations(traj.times, 2)]
-    rep = equicontinuity_probe(traj, pairs)
+    rep = equicontinuity_probe(traj, cfg, pairs)
     assert np.isfinite(rep.bound_constant)
     assert rep.max_ratio <= rep.bound_constant
     _report("criterion 8 (equicontinuity)", time.perf_counter() - tic, 120.0,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -562,6 +563,16 @@ class TestFailFast:
         with pytest.raises(ParseError):
             load_snapshot(str(bad))
 
+    def test_compare_of_2d_and_3d_snapshots_is_config_error(self, tmp_path, capsys):
+        # both files parse; they hold measures on phase spaces of different dimension
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("id,x1,x2,v1,v2,w\n0,0.0,0.0,1.0,0.0,1.0\n")
+        b.write_text("id,x1,x2,x3,v1,v2,v3,w\n0,0.0,0.0,0.0,1.0,0.0,0.0,1.0\n")
+        out = tmp_path / "out"
+        assert main(["compare", str(a), str(b), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: phase dimensions differ: 2 vs 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [2**64, 36893488147419103232])
     def test_seed_flag_past_uint64_is_config_error(self, flag, tmp_path):
         assert _main_in(tmp_path, MINIMAL_EPS, "--seed", str(flag)) == (2, False)
@@ -592,6 +603,29 @@ class TestFailFast:
         doc["flow"] = {"v0_list": [1e200], "s_list": [0.0, 1.0]}
         assert _main_in(tmp_path, doc) == (2, False)
         assert "finite |v|^2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v0", [1e-170, 5e-324,
+                                    math.nextafter(math.sqrt(sys.float_info.min), 0.0)])
+    def test_flow_speed_with_subnormal_square_is_config_error(self, v0, tmp_path, capsys):
+        # |v0|^2 is subnormal or 0; at s 400 e^(-800) underflows too, and the
+        # flow divided by zero: speed inf in flow.csv, with exit 0
+        doc = json.loads((CONFIGS / "flow.json").read_text())
+        doc["flow"] = {"v0_list": [0.5, v0], "s_list": [1.0, 400.0]}
+        with pytest.raises(ValidationError, match="flow.v0_list"):
+            parse_config(json.dumps(doc))
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert "flow.v0_list" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flow_speed_with_normal_square_runs(self, tmp_path):
+        # the least nonzero speed accepted: its square is the least normal float
+        doc = json.loads((CONFIGS / "flow.json").read_text())
+        doc["flow"] = {"v0_list": [0.0, math.sqrt(sys.float_info.min)], "s_list": [1.0, 400.0]}
+        assert _main_in(tmp_path, doc) == (0, True)
+        rows = (tmp_path / "out" / "flow.csv").read_text().splitlines()[1:]
+        speeds = [float(row.split(",")[2]) for row in rows]
+        assert speeds[:2] == [0.0, 0.0]
+        assert all(math.isfinite(u) and u > 0.0 for u in speeds[2:])
 
     def test_negative_flow_speed_is_config_error(self, tmp_path, capsys):
         # a speed of -1.0 would be read as its absolute value
@@ -638,6 +672,14 @@ class TestFailFast:
     def test_sweep_eps_not_decreasing_exits_before_integrating(self, tmp_path, no_simulate):
         doc = {**SWEEP_16, "sweep": {"eps_list": [0.04, 0.08], "t_grid": [0.0]}}
         assert _main_in(tmp_path, doc) == (2, False)
+
+    def test_sweep_repeated_t_grid_point_exits_before_integrating(self, tmp_path, no_simulate,
+                                                                 capsys):
+        # the repeat used to surface after three runs and a W1 solve, reported
+        # as eps not strictly decreasing
+        doc = {**SWEEP_16, "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.1, 0.1]}}
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert "t_grid points must be distinct" in capsys.readouterr().err
 
     def test_sweep_at_t0_only_runs(self, tmp_path):
         doc = {**SWEEP_16, "sweep": {"eps_list": [0.08, 0.04, 0.02], "t_grid": [0.0]}}

@@ -145,8 +145,6 @@ class TestMoments:
         assert_allclose(rep.momentum, mom, rtol=1e-12, atol=1e-15)
         assert abs(rep.kinetic_energy - kin) <= 1e-12 * abs(kin)
         assert rep.speed_min <= rep.speed_max
-        assert rep.pos_radius_max == pytest.approx(
-            max(np.linalg.norm(ens.x, axis=1)), rel=1e-15)
 
 
 class TestSupportBand:

@@ -18,8 +18,8 @@ from swarmlab import (
     w1_exact,
 )
 from swarmlab.cli import build_initial_ensemble
-from swarmlab.eps_dynamics import SimConfig
-from swarmlab.errors import MissingSnapshot, ValidationError
+from swarmlab.eps_dynamics import SimConfig, snapshot_indices
+from swarmlab.errors import ValidationError
 
 from conftest import field, field_sup, make_phase
 from oracles import align_weight, support_in_band, trapping_time_bounds
@@ -150,12 +150,14 @@ class TestSimulate:
 
     def test_snapshot_times_and_lookup(self):
         p = ModelParams(1.0, 1.0, 0.1)
-        traj = simulate(make_phase(4), SimConfig(
-            params=p, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=2))
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=2)
+        traj = simulate(make_phase(4), cfg)
         assert traj.times == (0.0,) + tuple((k + 1) * 2e-2 for k in range(5))
-        assert traj.snapshot_at(0.06).time == pytest.approx(0.06)
-        with pytest.raises(MissingSnapshot):
-            traj.snapshot_at(0.05)
+        [k] = snapshot_indices(traj.times[0], cfg, [0.06])
+        assert k == 3
+        assert traj.snapshots[k].time == pytest.approx(0.06)
+        with pytest.raises(ValidationError, match=r"t_grid points \[0.05\]"):
+            snapshot_indices(traj.times[0], cfg, [0.06, 0.05])
 
     def test_position_cone_bound(self):
         p = ModelParams(1.0, 1.0, 0.02)
@@ -165,8 +167,9 @@ class TestSimulate:
         traj = simulate(ens, SimConfig(params=p, spec=CS, dt=dt, T=0.5,
                                        snapshot_stride=50))
         a_sup = max(field_sup(s, CS) for s in traj.snapshots)
-        for t, rep in zip(traj.times, traj.moment_reports):
-            assert rep.pos_radius_max <= l0 + t * big_r + (a_sup + 1.0) * dt * t + 1e-12
+        for t, snap in zip(traj.times, traj.snapshots):
+            radius = float(np.max(np.linalg.norm(snap.x, axis=1)))
+            assert radius <= l0 + t * big_r + (a_sup + 1.0) * dt * t + 1e-12
 
     def test_monotone_speed_approach(self):
         # no field: speeds below r increase monotonically, above r decrease

@@ -193,6 +193,19 @@ class TestFreeFlow:
         assert all(b < a for a, b in zip(outside, outside[1:]))
         assert speed_flow(1.0, 2.5, P11) == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("u,s", [(0.25, -400.0), (1e-170, 1.0), (1e-160, 1.0)])
+    def test_speeds_with_underflowing_squares_match_closed_form(self, u, s):
+        # each speed squared is subnormal or 0; the closed form at alpha = beta = 1,
+        # u e^s / sqrt(1 + u^2 (e^(2s) - 1)), in 50-digit arithmetic
+        import mpmath
+
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(u)
+            exact = float(mu * mpmath.exp(s) / mpmath.sqrt(1 + mu**2 * (mpmath.exp(2 * s) - 1)))
+        assert exact > 0.0
+        assert speed_flow(u, s, P11) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
     def test_zero_stays_zero(self):
         assert_allclose(free_flow(np.zeros(2), 5.0, P11), np.zeros(2))
 

@@ -18,9 +18,9 @@ from swarmlab import (
     simulate,
     w1_exact,
 )
-from swarmlab.eps_dynamics import SimConfig
+from swarmlab.eps_dynamics import SimConfig, snapshot_indices
 from swarmlab.errors import DimensionMismatch, TooLarge, ValidationError
-from swarmlab.transport import EXACT_CAP, ConvergenceTable, _w1_lp
+from swarmlab.transport import EXACT_CAP, _w1_lp
 
 from conftest import make_phase, make_sphere
 from oracles import equicontinuity_probe
@@ -226,12 +226,13 @@ class TestConvergenceStudy:
         f_in = PhaseEnsemble(x=ens.x, v=ens.v, w=ens.w)
         cfg = SimConfig(params=params, spec=CS, dt=1e-2, T=0.2,
                         snapshot_stride=10, rng_seed=1)
-        table = convergence_study(f_in, [0.1, 0.05], [0.0, 0.2], cfg)
+        rows = convergence_study(f_in, [0.1, 0.05], [0.0, 0.2], cfg)
+        w1 = {(row["eps"], row["t"]): row["w1"] for row in rows}
         # shared atoms at t = 0; the sphere projection of on-sphere data moves
         # each atom by at most one rounding, so "zero" means machine-level
-        assert table.w1(0.1, 0.0) <= 1e-14
-        assert table.w1(0.05, 0.0) <= 1e-14
-        assert len(table.rows) == 4
+        assert w1[0.1, 0.0] <= 1e-14
+        assert w1[0.05, 0.0] <= 1e-14
+        assert len(rows) == 4
 
     def test_eps_order_enforced(self):
         params = ModelParams(1.0, 1.0, 0.1)
@@ -278,9 +279,9 @@ class TestConvergenceStudy:
         monkeypatch.setattr(transport, "simulate", recording)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=1.0,
                         snapshot_stride=10, rng_seed=1)
-        table = convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], cfg)
+        rows = convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], cfg)
         assert horizons == [1.0, 1.0, 1.0]
-        assert len(table.rows) == 4
+        assert len(rows) == 4
 
     def test_each_distinct_snapshot_pair_is_solved_once(self, monkeypatch):
         import swarmlab.transport as transport
@@ -295,18 +296,13 @@ class TestConvergenceStudy:
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
                         snapshot_stride=10, rng_seed=1)
         f_in = make_phase(8, seed=12)
-        table = convergence_study(f_in, [0.1, 0.05, 0.02], [0.0, 0.1], cfg)
+        rows = convergence_study(f_in, [0.1, 0.05, 0.02], [0.0, 0.1], cfg)
         # at t = 0 every eps run's snapshot is f_in: one solve for three rows
         assert len(pairs) == 4
         assert sum(mu is f_in for mu, _ in pairs) == 1
-        assert len(table.rows) == 6
-        at_t0 = [row for row in table.rows if row["t"] == 0.0]
+        assert len(rows) == 6
+        at_t0 = [row for row in rows if row["t"] == 0.0]
         assert len({(row["w1"], row["runtime_ms"]) for row in at_t0}) == 1
-
-    def test_table_invariant(self):
-        with pytest.raises(ValidationError):
-            ConvergenceTable(rows=({"eps": 0.1, "t": 0.5, "w1": 1.0},
-                                   {"eps": 0.2, "t": 0.5, "w1": 1.0}))
 
 
 class TestStudyLanes:
@@ -316,8 +312,8 @@ class TestStudyLanes:
                     snapshot_stride=10, rng_seed=1)
 
     @staticmethod
-    def _rows(table):
-        return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in table.rows]
+    def _rows(rows):
+        return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
 
     def test_rows_equal_at_one_two_and_three_lanes(self, monkeypatch):
         f_in = make_phase(16, seed=12)
@@ -335,8 +331,8 @@ class TestStudyLanes:
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         monkeypatch.setenv("SWARM_THREADS", "1")
-        table = convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], self.CFG)
-        assert len(table.rows) == 4
+        rows = convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], self.CFG)
+        assert len(rows) == 4
 
     def test_runs_use_at_most_one_lane_each_with_the_caller(self, monkeypatch):
         import swarmlab.transport as transport
@@ -405,24 +401,23 @@ class TestEquicontinuityProbe:
                         snapshot_stride=5)
         traj = simulate(ens, cfg)
         for (t, s) in [(0.0, 0.05), (0.05, 0.15), (0.0, 0.1)]:
-            rep = w1_exact(traj.snapshot_at(t), traj.snapshot_at(s))
+            k_t, k_s = snapshot_indices(traj.times[0], cfg, [t, s])
+            rep = w1_exact(traj.snapshots[k_t], traj.snapshots[k_s])
             assert rep.value == pytest.approx(r * abs(t - s), rel=1e-9)
 
     def test_identical_times_rejected(self):
         params = ModelParams(1.0, 1.0, 0.1)
-        traj = simulate(make_phase(6, seed=14),
-                        SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1,
-                                  snapshot_stride=5))
+        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=5)
+        traj = simulate(make_phase(6, seed=14), cfg)
         with pytest.raises(ValidationError):
-            equicontinuity_probe(traj, [(0.0, 0.0)])
+            equicontinuity_probe(traj, cfg, [(0.0, 0.0)])
 
     def test_empty_pair_list_rejected(self):
         params = ModelParams(1.0, 1.0, 0.1)
-        traj = simulate(make_phase(6, seed=14),
-                        SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1,
-                                  snapshot_stride=5))
+        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=5)
+        traj = simulate(make_phase(6, seed=14), cfg)
         with pytest.raises(ValidationError, match="pair list is empty"):
-            equicontinuity_probe(traj, [])
+            equicontinuity_probe(traj, cfg, [])
 
     def test_well_prepared_ratio_below_constant(self):
         params = ModelParams(1.0, 1.0, 0.05)
@@ -433,7 +428,7 @@ class TestEquicontinuityProbe:
         traj = simulate(f_in, cfg)
         times = traj.times
         pairs = [(a, b) for a, b in itertools.combinations(times, 2)]
-        rep = equicontinuity_probe(traj, pairs)
+        rep = equicontinuity_probe(traj, cfg, pairs)
         assert rep.n_pairs == len(pairs)
         assert np.isfinite(rep.bound_constant)
         assert rep.max_ratio <= rep.bound_constant
