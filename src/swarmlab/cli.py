@@ -147,8 +147,8 @@ _VALUE_KINDS = (
      "init.n integrator.stride"),
     ("a boolean", lambda v: isinstance(v, bool), "integrator.diffusion"),
     ("a string", lambda v: isinstance(v, str),
-     "init.input init.distribution kernels.name integrator.scheme compare.file_a "
-     "compare.file_b output.directory"),
+     "init.input init.distribution kernels.name compare.file_a compare.file_b output.directory"),
+    ("'strang'", lambda v: v == "strang", "integrator.scheme"),
     ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
      "sweep.eps_list sweep.t_grid roots.eps_list flow.s_list"),
     (f"a list of speeds, each 0 or at least {_MIN_FLOW_SPEED:.3g} (a normal |v0|^2)",
@@ -183,9 +183,6 @@ def _validate(cfg: RunConfig):
                if getattr(cfg, sec).get(key) in (None, [], "")]
     if missing:
         raise ValidationError(f"{cfg.mode} mode needs {' and '.join(missing)}")
-    if cfg.integrator["scheme"] != "strang":
-        raise ValidationError(
-            f"integrator.scheme must be 'strang', got {cfg.integrator['scheme']!r}")
     if "model.alpha" in reads:
         params = _model_params(cfg)
     if "kernels.name" in reads:
@@ -230,6 +227,8 @@ def _init_ensemble_checks(init: dict, params: ModelParams):
         raise ValidationError(
             f"need 0 < r0 < r < R0, got r0={r0}, r={params.r}, R0={big_r0}"
         )
+    if not math.isfinite(float(big_r0) * float(big_r0)):  # the dynamics square |v|
+        raise ValidationError(f"init.R0 must have a finite square, got R0={big_r0}")
 
 
 def _unit_directions(rng, n, d):

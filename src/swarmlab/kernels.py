@@ -99,7 +99,8 @@ def _cucker_smale_family(k, gamma):
     def h(s, w):
         np.add(s, 1.0, out=s)
         if gamma != 1.0:  # x**1.0 == x, but numpy would still make the pass
-            s **= gamma
+            with np.errstate(over="ignore"):  # inf: the weight rounds to 0, as it should
+                s **= gamma
         np.divide(k * w, s, out=s)
 
     return h
@@ -147,6 +148,11 @@ def builtin_kernels(name: str, params: dict | None = None) -> KernelSpec:
             raise BadKernelParams(f"gaussian scales must be positive, got l_A={l_a}, l_R={l_r}")
         if c_a < 0 or c_r < 0:
             raise BadKernelParams("gaussian amplitudes C_A, C_R must be nonnegative")
+        for c, ell, c_name, l_name in ((c_a, l_a, "C_A", "l_A"), (c_r, l_r, "C_R", "l_R")):
+            ell2 = ell * ell  # the exponent is -s/l^2, and the force scales by C/l^2
+            if c != 0.0 and not (np.finfo(float).tiny <= ell2 < np.inf and np.isfinite(c / ell2)):
+                raise BadKernelParams(f"gaussian term needs {l_name}^2 a normal float and {c_name}/"
+                                      f"{l_name}^2 finite, got {c_name}={c}, {l_name}={ell}")
         spec = KernelSpec(name=name, params={"C_A": c_a, "l_A": l_a, "C_R": c_r, "l_R": l_r},
                           potential=_gaussian_family(c_a, l_a, c_r, l_r))
     else:

@@ -41,8 +41,6 @@ class RootTriple:
     rho1: float | None
     rho2: float | None
     rho3: float | None
-    A: float
-    eps: float
     validity: bool
 
 
@@ -87,23 +85,21 @@ def solve_roots(eps: float, A: float, params: ModelParams) -> RootTriple:
     check_speed_balance(eps, A, params)
     r = params.r
     if A == 0.0:
-        return RootTriple(rho1=0.0, rho2=r, rho3=r, A=A, eps=eps, validity=True)
+        return RootTriple(rho1=0.0, rho2=r, rho3=r, validity=True)
     f = lambda rho: lambda_eps(rho, eps, A, params)
     if A < 0.0:
         # compared as a product: 1/(3 sqrt(3) |A|) underflows to 0 for huge A
         if eps * abs(A) >= 2.0 * params.alpha * r / (3.0 * math.sqrt(3.0)):
-            return RootTriple(rho1=None, rho2=None, rho3=None, A=A, eps=eps,
-                              validity=False)
+            return RootTriple(rho1=None, rho2=None, rho3=None, validity=False)
         knee = r / math.sqrt(3.0)
         rho1 = _root(f, 0.0, knee)
         rho2 = _root(f, knee, r)
-        return RootTriple(rho1=rho1, rho2=rho2, rho3=None, A=A, eps=eps,
-                          validity=True)
+        return RootTriple(rho1=rho1, rho2=rho2, rho3=None, validity=True)
     hi = r + max(r, 1.0)
     while f(hi) >= 0.0:
         hi = r + 2.0 * (hi - r)
     rho3 = _root(f, r, hi)
-    return RootTriple(rho1=None, rho2=None, rho3=rho3, A=A, eps=eps, validity=True)
+    return RootTriple(rho1=None, rho2=None, rho3=rho3, validity=True)
 
 
 def root_asymptotics(A: float, params: ModelParams):

@@ -489,6 +489,15 @@ SWEEP_16 = {
     "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, 0.1]},
 }
 
+GAUSSIAN_NAME = "gaussian_attraction_repulsion"
+LIMIT_16 = {
+    "mode": "simulate-limit",
+    "model": {"alpha": 1.0, "beta": 1.0},
+    "init": {"n": 16, "dim": 2, "distribution": "on_sphere", "seed": 3},
+    "integrator": {"T": 0.01, "dt": 1e-3, "stride": 10},
+}
+SAMPLED_EPS = {**MINIMAL_EPS, "init": {**SWEEP_16["init"]}}
+
 
 def _one_particle(**header):
     """A one-particle 2-D snapshot document with the given header."""
@@ -712,6 +721,63 @@ class TestFailFast:
             parse_config(json.dumps(doc))
         assert _main_in(tmp_path, doc) == (2, False)
         assert "speed balance past float range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kernels,named", [
+        ({"name": GAUSSIAN_NAME, "params": {"l_A": 1e200}}, "l_A"),   # was OverflowError
+        ({"name": GAUSSIAN_NAME, "params": {"l_A": 1e-300}}, "l_A"),  # was ZeroDivisionError
+        ({"name": GAUSSIAN_NAME, "params": {"l_A": 1e-160}}, "l_A"),  # was "non-finite coordinates"
+        ({"name": GAUSSIAN_NAME, "params": {"C_A": 1e300, "l_A": 1e-10}}, "C_A"),
+        ({"name": GAUSSIAN_NAME, "params": {"C_R": 1.0, "l_R": 1e-300}}, "l_R"),
+    ], ids=["l_A-1e200", "l_A-1e-300", "l_A-1e-160", "C_A-1e300", "l_R-1e-300"])
+    def test_gaussian_term_past_float_range_is_config_error(self, kernels, named, tmp_path,
+                                                            capsys):
+        assert _main_in(tmp_path, {**LIMIT_16, "kernels": kernels}) == (2, False)
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cucker_smale_power_overflow_runs(self, tmp_path):
+        # (1 + s)^1e300 overflowed with a RuntimeWarning; the weight is 0
+        doc = {**LIMIT_16, "kernels": {"name": "cucker_smale_weight", "params": {"gamma": 1e300}}}
+        assert _main_in(tmp_path, doc) == (0, True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("doc", [
+        {**SAMPLED_EPS, "init": {**SAMPLED_EPS["init"], "R0": 1e160}},
+        {**SAMPLED_EPS, "init": {**SAMPLED_EPS["init"], "R0": 1e160,
+                                 "distribution": "two_clusters"}},
+        {**SWEEP_16, "init": {**SWEEP_16["init"], "R0": 1e160}},
+        {"mode": "project", "model": {"alpha": 1.0, "beta": 1.0},
+         "init": {**SWEEP_16["init"], "R0": 1e160}},
+    ], ids=["simulate-eps", "two_clusters", "sweep", "project"])
+    def test_speed_bound_with_infinite_square_is_config_error(self, doc, tmp_path, capsys):
+        # each mode failed its own way, none naming init.R0
+        with pytest.raises(ValidationError, match="init.R0"):
+            parse_config(json.dumps(doc))
+        with pytest.raises(ValidationError, match="init.R0"):
+            build_initial_ensemble(doc["init"], ModelParams(1.0, 1.0, 0.05))
+        assert _main_in(tmp_path, doc) == (2, False)
+        assert "init.R0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big_r0", [1e150, 1.3e154])
+    def test_speed_bound_with_finite_square_runs(self, big_r0, tmp_path):
+        doc = {**SAMPLED_EPS, "kernels": {"name": GAUSSIAN_NAME},
+               "init": {**SAMPLED_EPS["init"], "R0": big_r0}}
+        assert _main_in(tmp_path, doc) == (0, True)
+
+    def test_scheme_that_is_not_a_string_names_strang(self):
+        doc = {**MINIMAL_EPS, "integrator": {**MINIMAL_EPS["integrator"], "scheme": 5}}
+        with pytest.raises(ValidationError, match="integrator.scheme must be 'strang', got 5"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_swarm_threads_not_a_lane_count_is_config_error(self, threads, tmp_path,
+                                                            monkeypatch, no_simulate, capsys):
+        # each of these used to mean one lane, silently
+        monkeypatch.setenv("SWARM_THREADS", threads)
+        assert _main_in(tmp_path, SWEEP_16) == (2, False)
+        assert "SWARM_THREADS" in capsys.readouterr().err
 
     def test_roots_forcing_past_float_range_is_config_error(self, tmp_path, capsys):
         # eps*A = 1e309 is inf: brentq would see NaN

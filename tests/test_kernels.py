@@ -103,6 +103,20 @@ class TestBuiltins:
         with pytest.raises(BadKernelParams):
             builtin_kernels(name, params)
 
+    def test_gaussian_term_without_amplitude_is_unchecked(self):
+        # l_R^2 underflows to 0, but with C_R 0 that term is never evaluated
+        spec = builtin_kernels("gaussian_attraction_repulsion",
+                               {"C_A": 1.0, "l_A": 1.0, "C_R": 0.0, "l_R": 1e-300})
+        assert spec.params["l_R"] == 1e-300
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cucker_smale_power_overflow_gives_weight_zero(self):
+        # (1 + s)^gamma overflows to inf off the diagonal: the weight K w_j / inf is 0
+        spec = builtin_kernels("cucker_smale_weight", {"K": 2.0, "gamma": 1e300})
+        ens = make_phase(5, seed=3)
+        op = PairOperator(ens.w, spec).build(ens.x)
+        assert np.array_equal(op.H, np.diag(2.0 * ens.w))
+
     @pytest.mark.parametrize("name,params", [
         ("cucker_smale_weight", {"K": 1.0, "gama": 5.0}),
         ("constant_weight", {"K": 1.0, "gamma": 1.0}),

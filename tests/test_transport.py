@@ -113,6 +113,17 @@ class TestW1Exact:
         assert cost_from_plan == pytest.approx(rep.value, abs=1e-12)
         assert rep.residual <= 1e-12
 
+    def test_lp_residual_is_that_of_its_plan(self):
+        # HiGHS's solution vector, before its entries <= 1e-15 leave the
+        # plan, misses a marginal by 2.220e-16; the reported plan by 2.255e-16
+        rng = np.random.default_rng(1)
+        a = make_phase(37, seed=1, weights=rng.dirichlet(np.ones(37)))
+        b = make_phase(61, seed=101)
+        rep = w1_exact(a, b)
+        assert rep.solver == "lp"
+        marginal, _ = _plan_marginals_and_cost(rep, a, b)
+        assert rep.residual == marginal
+
     def test_lp_agrees_with_assignment_on_duplicated_atoms(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 2))
@@ -194,14 +205,13 @@ class TestUniformReplicatedAssignment:
         a, b = make_phase(n, seed=n), make_phase(m, seed=1000 + m)
         rep = w1_exact(a, b)
         assert rep.solver == solver
-        lp = _w1_lp(cdist(np.hstack([a.x, a.v]), np.hstack([b.x, b.v])), a.w, b.w)
-        assert abs(rep.value - lp.value) <= 1e-12
+        lp_value = _w1_lp(a, b)[0]
+        assert abs(rep.value - lp_value) <= 1e-12
         marginal, cost = _plan_marginals_and_cost(rep, a, b)
         assert marginal <= 1e-12
         assert abs(cost - rep.value) <= 1e-12
         assert rep.residual <= 1e-12
-        if solver == "assignment":   # measured from the folded plan, not assumed
-            assert rep.residual == marginal
+        assert rep.residual == marginal   # measured from the reported plan, not assumed
 
     def test_plan_sorted_without_duplicates(self):
         rep = w1_exact(make_phase(4, seed=1), make_phase(6, seed=2))
@@ -215,8 +225,8 @@ class TestUniformReplicatedAssignment:
         a, b = make_phase(n, seed=seed), make_phase(m, seed=seed + 1)
         rep = w1_exact(a, b)
         assert rep.solver == "assignment"
-        lp = _w1_lp(cdist(np.hstack([a.x, a.v]), np.hstack([b.x, b.v])), a.w, b.w)
-        assert abs(rep.value - lp.value) <= 1e-12
+        lp_value = _w1_lp(a, b)[0]
+        assert abs(rep.value - lp_value) <= 1e-12
 
 
 class TestConvergenceStudy:
@@ -324,6 +334,22 @@ class TestStudyLanes:
                                                        [0.0, 0.1], self.CFG)))
         assert len(tables[0]) == 6
         assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize("threads", [None, ""])
+    def test_unset_or_empty_is_one_lane(self, threads, monkeypatch):
+        import swarmlab.transport as transport
+        if threads is None:
+            monkeypatch.delenv("SWARM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SWARM_THREADS", threads)
+        assert transport._worker_count() == 1
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", "²"])
+    def test_value_not_a_lane_count_raises(self, threads, monkeypatch):
+        import swarmlab.transport as transport
+        monkeypatch.setenv("SWARM_THREADS", threads)
+        with pytest.raises(ValidationError, match="SWARM_THREADS"):
+            transport._worker_count()
 
     def test_one_lane_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
