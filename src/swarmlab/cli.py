@@ -36,6 +36,7 @@ from .eps_dynamics import SimConfig, simulate
 from .errors import (
     BadKernelParams,
     DimensionMismatch,
+    Diverged,
     FlowBlowup,
     ParseError,
     SwarmError,
@@ -451,7 +452,7 @@ def run(cfg: RunConfig, output_dir: str | None = None,
     return manifest
 
 
-_RUNTIME_ERRORS = (FlowBlowup, ZeroVelocityParticle, TooLarge)
+_RUNTIME_ERRORS = (FlowBlowup, ZeroVelocityParticle, TooLarge, Diverged)
 _CONFIG_ERRORS = (ParseError, ValidationError, BadKernelParams, DimensionMismatch)
 
 

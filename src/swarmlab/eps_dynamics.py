@@ -23,9 +23,11 @@ reproducible at any worker count.
 
 `simulate` integrates both regimes: an ensemble without a radius takes the
 splitting step above, one with a radius r (speeds fixed at r) the limit step
-of `sphere_dynamics`. Either way each step takes one PairOperator built at its
-start positions and leaves it built at its end positions: K + 1 builds for K
-steps, and each snapshot's interaction energy comes with its build. Which
+of `sphere_dynamics`. Either step maps (x, v) to (x, v), taking one
+PairOperator built at its start positions and leaving it built at its end
+positions: K + 1 builds for K steps, and each snapshot's interaction energy
+comes with its build. `simulate` alone makes the snapshot ensembles, and turns
+a step that overflows or makes an invalid value into `Diverged`. Which
 snapshot a time point means is read off the config alone (`snapshot_indices`).
 """
 
@@ -33,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import noise
 from .core import ModelParams, PhaseEnsemble, moments
-from .errors import ValidationError
+from .errors import Diverged, ValidationError
 from .kernels import KernelSpec, PairOperator
 from .relaxation import free_flow
 from .sphere_dynamics import advance_limit
@@ -76,14 +79,6 @@ class Trajectory:
     moment_reports: tuple
     energies: tuple
 
-    def __post_init__(self):
-        times = np.asarray(self.times)
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("snapshot times must be strictly increasing")
-        counts = {s.n for s in self.snapshots}
-        if len(counts) > 1:
-            raise ValidationError("snapshot particle count changed mid-run")
-
 
 def _kick(op, v, tau, shot=None):
     """Interaction kick over time tau with positions frozen at those `op` was
@@ -97,23 +92,22 @@ def _kick(op, v, tau, shot=None):
     return out
 
 
-def _advance(ens: PhaseEnsemble, cfg: SimConfig, step_index: int,
-             op: PairOperator, time: float) -> PhaseEnsemble:
-    """One Strang step to the new time `time`; `op` is built at ens.x and is
-    left built at the new positions."""
+def _advance(x, v, cfg: SimConfig, step_index: int, op: PairOperator):
+    """One Strang step of (x, v); `op` is built at x and is left built at the
+    new positions."""
     dt = cfg.dt
     p = cfg.params
     shots = (None, None)
     if cfg.diffusion:
         shots = math.sqrt(dt) * noise.gaussian_increments(
-            cfg.rng_seed, noise.EPS_DYNAMICS, step_index, (2,) + ens.v.shape)
+            cfg.rng_seed, noise.EPS_DYNAMICS, step_index, (2,) + v.shape)
     half_s = dt / (2.0 * p.eps)
-    v = free_flow(ens.v, half_s, p)
+    v = free_flow(v, half_s, p)
     v = _kick(op, v, 0.5 * dt, shots[0])
-    x = ens.x + dt * v
+    x = x + dt * v
     v = _kick(op.build(x), v, 0.5 * dt, shots[1])
     v = free_flow(v, half_s, p)
-    return PhaseEnsemble(x=x, v=v, w=ens.w, time=time)
+    return x, v
 
 
 def snapshot_steps(cfg: SimConfig) -> list:
@@ -140,17 +134,24 @@ def snapshot_indices(t0: float, cfg: SimConfig, ts) -> list:
 def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
     """Push the initial ensemble through round(T/dt) steps, storing snapshots
     after the step counts of `snapshot_steps`. An ensemble without a radius
-    runs the eps system, one with a radius its sphere limit."""
-    steps = snapshot_steps(cfg)
-    stored = set(steps)
-    advance = _advance if f_in.r is None else advance_limit
+    runs the eps system, one with a radius its sphere limit. Snapshot times
+    not strictly increasing are rejected before any build."""
+    stored = {k: f_in.time + k * cfg.dt for k in snapshot_steps(cfg)}
+    times = list(stored.values())
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValidationError(f"snapshot times {f_in.time} + k*{cfg.dt} must strictly increase")
+    advance = _advance if f_in.r is None else partial(advance_limit, r=f_in.r)
     op = PairOperator(f_in.w, cfg.spec).build(f_in.x)
     snaps, pair_energies = [f_in], [op.energy]
-    ens = f_in
-    for k in range(steps[-1]):
-        ens = advance(ens, cfg, k, op, f_in.time + (k + 1) * cfg.dt)
-        if k + 1 in stored:
-            snaps.append(ens)
+    x, v = f_in.x, f_in.v
+    for k in range(1, max(stored) + 1):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                x, v = advance(x, v, cfg, k - 1, op)
+        except (FloatingPointError, ValidationError) as exc:  # free_flow's non-finite |v|^2
+            raise Diverged(f"run diverged in step {k} (t={f_in.time + k * cfg.dt})") from exc
+        if k in stored:
+            snaps.append(PhaseEnsemble(x, v, f_in.w, stored[k], f_in.r))
             pair_energies.append(op.energy)
     reports = [moments(snap) for snap in snaps]
     energies = [rep.kinetic_energy + e for rep, e in zip(reports, pair_energies)]

@@ -18,6 +18,10 @@ class FlowBlowup(SwarmError):
     """Backward relaxation flow requested past its finite blow-up time."""
 
 
+class Diverged(SwarmError):
+    """A step of a run overflowed or made an invalid value; the message names it."""
+
+
 class TooLarge(SwarmError):
     """Problem size exceeds a cap of the exact W1 solvers; the message names
     the bound exceeded."""

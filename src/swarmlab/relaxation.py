@@ -57,12 +57,17 @@ def _root(f, lo, hi):
     return brentq(f, lo, hi, xtol=1e-300)
 
 
+def _rho3_ceiling(eps: float, A: float, params: ModelParams) -> float:
+    """r + 2 max(r, 1, (eps A / beta)^(1/3)), above rho3 for A > 0: from
+    t = (eps A / beta)^(1/3) on, lambda_eps(r + t) <= -beta (2 r^2 t + 3 r t^2) < 0."""
+    return params.r + 2.0 * max(params.r, 1.0, (eps * A) ** (1 / 3) / params.beta ** (1 / 3))
+
+
 def check_speed_balance(eps: float, A: float, params: ModelParams):
     """ValidationError unless solve_roots(eps, A, params) stays in float range.
 
-    Its brackets reach rho = r for A < 0 and, for A > 0, at most
-    r + 2 max(r, 1, (eps A / beta)^(1/3)), since rho3 <= r + (eps A / beta)^(1/3).
-    There lambda forms rho^2, alpha rho and beta rho^3, each of which must be
+    Its brackets reach rho = r for A < 0 and `_rho3_ceiling` for A > 0. There
+    lambda forms rho^2, alpha rho and beta rho^3, each of which must be
     finite: an infinite bracket value leaves brentq without a secant."""
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -70,11 +75,10 @@ def check_speed_balance(eps: float, A: float, params: ModelParams):
         raise ValidationError(f"forcing eps*A overflows: eps={eps}, A={A}")
     if A == 0.0:
         return
-    r, beta = params.r, params.beta
-    rho = r if A < 0.0 else r + 2.0 * max(r, 1.0, (eps * A) ** (1 / 3) / beta ** (1 / 3))
-    if not math.isfinite(max(rho * rho, params.alpha * rho, beta * rho * rho * rho)):
+    rho = params.r if A < 0.0 else _rho3_ceiling(eps, A, params)
+    if not math.isfinite(max(rho * rho, params.alpha * rho, params.beta * rho * rho * rho)):
         raise ValidationError(
-            f"speed balance past float range: alpha={params.alpha}, beta={beta}, "
+            f"speed balance past float range: alpha={params.alpha}, beta={params.beta}, "
             f"eps*A={eps * A} bracket roots up to rho={rho}")
 
 
@@ -95,10 +99,7 @@ def solve_roots(eps: float, A: float, params: ModelParams) -> RootTriple:
         rho1 = _root(f, 0.0, knee)
         rho2 = _root(f, knee, r)
         return RootTriple(rho1=rho1, rho2=rho2, rho3=None, validity=True)
-    hi = r + max(r, 1.0)
-    while f(hi) >= 0.0:
-        hi = r + 2.0 * (hi - r)
-    rho3 = _root(f, r, hi)
+    rho3 = _root(f, r, _rho3_ceiling(eps, A, params))
     return RootTriple(rho1=None, rho2=None, rho3=rho3, validity=True)
 
 
@@ -140,9 +141,7 @@ def free_flow(v, s: float, params: ModelParams) -> np.ndarray:
     ValidationError when some |v|^2 is not finite.
     """
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    vs = v[None, :] if single else v
-    vv = _speed_squares(vs)
+    vv = _speed_squares(v)
     r2 = params.r**2
     if s >= 0.0:
         # q = |V|^(-2) r^2 |v|^2 rearranged to avoid e^(2 alpha s) overflow.
@@ -159,9 +158,7 @@ def free_flow(v, s: float, params: ModelParams) -> np.ndarray:
                 f"(min radicand {float(np.min(q)):.3e})"
             )
         factor = params.r * math.exp(params.alpha * s) / np.sqrt(q)
-    factor = np.where(vv == r2, 1.0, factor)
-    out = vs * factor[:, None]
-    return out[0] if single else out
+    return v * np.where(vv == r2, 1.0, factor)[..., None]
 
 
 def speed_flow(u: float, s: float, params: ModelParams) -> float:

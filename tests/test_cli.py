@@ -499,6 +499,14 @@ LIMIT_16 = {
 SAMPLED_EPS = {**MINIMAL_EPS, "init": {**SWEEP_16["init"]}}
 
 
+def _aligned(mode, gain):
+    """LIMIT_16's datum and horizon in `mode`, under Cucker-Smale alignment of
+    gain K = `gain`."""
+    model = {**LIMIT_16["model"], "eps": 0.05} if mode == "simulate-eps" else LIMIT_16["model"]
+    return {**LIMIT_16, "mode": mode, "model": model,
+            "kernels": {"name": "cucker_smale_weight", "params": {"K": gain}}}
+
+
 def _one_particle(**header):
     """A one-particle 2-D snapshot document with the given header."""
     return json.dumps({"header": header, "particles": [
@@ -740,6 +748,20 @@ class TestFailFast:
         # (1 + s)^1e300 overflowed with a RuntimeWarning; the weight is 0
         doc = {**LIMIT_16, "kernels": {"name": "cucker_smale_weight", "params": {"gamma": 1e300}}}
         assert _main_in(tmp_path, doc) == (0, True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode,gain", [("simulate-eps", 1e300), ("simulate-limit", 1e300),
+                                           ("simulate-eps", 1e100)])
+    def test_diverged_run_is_numeric_abort(self, mode, gain, tmp_path, capsys):
+        # was a config error (exit 2), or an overflow traceback under -W error
+        assert _main_in(tmp_path, _aligned(mode, gain)) == (3, False)
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: run diverged in step 1 (t=0.001)")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_alignment_on_the_sphere_runs(self, tmp_path):
+        # the limit step renormalizes the speeds, which keeps them in range
+        assert _main_in(tmp_path, _aligned("simulate-limit", 1e100)) == (0, True)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("doc", [

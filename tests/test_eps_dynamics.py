@@ -18,10 +18,11 @@ from swarmlab import (
     w1_exact,
 )
 from swarmlab.cli import build_initial_ensemble
-from swarmlab.eps_dynamics import SimConfig, snapshot_indices
+from swarmlab.eps_dynamics import SimConfig, snapshot_indices, snapshot_steps
 from swarmlab.errors import ValidationError
+from swarmlab.kernels import PairOperator
 
-from conftest import field, field_sup, make_phase
+from conftest import field, field_sup, make_phase, make_sphere
 from oracles import align_weight, support_in_band, trapping_time_bounds
 
 ZERO = builtin_kernels("zero_potential")
@@ -158,6 +159,42 @@ class TestSimulate:
         assert traj.snapshots[k].time == pytest.approx(0.06)
         with pytest.raises(ValidationError, match=r"t_grid points \[0.05\]"):
             snapshot_indices(traj.times[0], cfg, [0.06, 0.05])
+
+    @pytest.mark.parametrize("limit", [False, True], ids=["eps", "limit"])
+    def test_one_ensemble_per_stored_snapshot(self, limit, monkeypatch):
+        # the steps map arrays; only the 5th and 10th of 10 make an ensemble
+        f_in = make_sphere(8, seed=2) if limit else make_phase(8, seed=2)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+                        snapshot_stride=5)
+        made = []
+        post_init = PhaseEnsemble.__post_init__
+
+        def counting(ens):
+            made.append(ens.time)
+            post_init(ens)
+
+        monkeypatch.setattr(PhaseEnsemble, "__post_init__", counting)
+        traj = simulate(f_in, cfg)
+        assert len(made) == len(snapshot_steps(cfg)) - 1 == 2
+        assert made == list(traj.times[1:])
+
+    def test_start_time_without_step_resolution_rejected_before_any_build(self, monkeypatch):
+        # at t0 = 1e20 a step of 1e-3 leaves the time unchanged: every stored
+        # time is t0, which is rejected before the first pair build
+        builds = []
+        build = PairOperator.build
+
+        def counting(op, x):
+            builds.append(len(x))
+            return build(op, x)
+
+        monkeypatch.setattr(PairOperator, "build", counting)
+        f_in = PhaseEnsemble(x=[[0.0, 0.0]], v=[[1.0, 0.0]], w=[1.0], time=1e20)
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-3, T=1e-2,
+                        snapshot_stride=5)
+        with pytest.raises(ValidationError, match="strictly increas"):
+            simulate(f_in, cfg)
+        assert builds == []
 
     def test_position_cone_bound(self):
         p = ModelParams(1.0, 1.0, 0.02)

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from swarmlab import (
     w1_exact,
 )
 from swarmlab.eps_dynamics import SimConfig, snapshot_indices
-from swarmlab.errors import DimensionMismatch, TooLarge, ValidationError
+from swarmlab.errors import DimensionMismatch, Diverged, TooLarge, ValidationError
 from swarmlab.transport import EXACT_CAP, _w1_lp
 
 from conftest import make_phase, make_sphere
@@ -392,6 +393,15 @@ class TestStudyLanes:
                 _lanes_map(square, range(200))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_raises_diverged(self, monkeypatch):
+        # the limit run on lane 0 stays on its sphere; the eps run on lane 1
+        # overflows, and its lane raises that as Diverged rather than warning
+        cfg = replace(self.CFG, spec=builtin_kernels("constant_weight", {"K": 1e100}))
+        monkeypatch.setenv("SWARM_THREADS", "2")
+        with pytest.raises(Diverged, match="step 1 "):
+            convergence_study(make_phase(8, seed=12), [0.1], [0.0, 0.1], cfg)
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_first_failing_run_in_order_raises(self, threads, monkeypatch):
