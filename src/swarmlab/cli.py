@@ -5,7 +5,8 @@ byte-identical across repeats at any SWARM_THREADS setting. The manifest
 records the config hash, seed, version and the emitted file list; its
 timestamps are the only non-reproducible bytes a run produces.
 
-Exit codes: 0 success, 2 config problem, 3 numeric abort, 4 I/O failure.
+Exit codes: 0 success, 2 a ConfigError, 3 a NumericAbort or out of memory,
+4 I/O failure; `main` reads the code and label off the error type.
 """
 
 from __future__ import annotations
@@ -33,17 +34,7 @@ from .core import (
     project_measure,
 )
 from .eps_dynamics import SimConfig, simulate
-from .errors import (
-    BadKernelParams,
-    DimensionMismatch,
-    Diverged,
-    FlowBlowup,
-    ParseError,
-    SwarmError,
-    TooLarge,
-    ValidationError,
-    ZeroVelocityParticle,
-)
+from .errors import ParseError, SwarmError, ValidationError
 from .kernels import builtin_kernels
 from .relaxation import (
     blowup_time,
@@ -452,10 +443,6 @@ def run(cfg: RunConfig, output_dir: str | None = None,
     return manifest
 
 
-_RUNTIME_ERRORS = (FlowBlowup, ZeroVelocityParticle, TooLarge, Diverged)
-_CONFIG_ERRORS = (ParseError, ValidationError, BadKernelParams, DimensionMismatch)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="swarmlab",
                                      description="speed-constrained swarming lab")
@@ -485,21 +472,15 @@ def main(argv=None) -> int:
                     f"config mode {cfg.mode!r} does not match subcommand {args.command!r}"
                 )
         manifest = run(cfg, output_dir=args.output, seed=args.seed)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return 3
+    except SwarmError as exc:  # each error type carries its exit code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:  # e.g. an N x N pair buffer past the machine
         print(f"numeric abort: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except SwarmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     print(f"ok: {len(manifest.files)} files, config {manifest.config_hash[:12]}")
     return 0
 

@@ -27,8 +27,10 @@ of `sphere_dynamics`. Either step maps (x, v) to (x, v), taking one
 PairOperator built at its start positions and leaving it built at its end
 positions: K + 1 builds for K steps, and each snapshot's interaction energy
 comes with its build. `simulate` alone makes the snapshot ensembles, and turns
-a step that overflows or makes an invalid value into `Diverged`. Which
-snapshot a time point means is read off the config alone (`snapshot_indices`).
+a step that overflows, makes an invalid value or, on the sphere, turns omega
+past `sphere_dynamics.MAX_TURN` into a `Diverged` naming the step and time.
+Which snapshot a time point means is read off the config alone
+(`snapshot_indices`).
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 x, v = advance(x, v, cfg, k - 1, op)
-        except (FloatingPointError, ValidationError) as exc:  # free_flow's non-finite |v|^2
-            raise Diverged(f"run diverged in step {k} (t={f_in.time + k * cfg.dt})") from exc
+        except (FloatingPointError, ValidationError, Diverged) as exc:
+            # free_flow's non-finite |v|^2; the limit step's turn bound
+            raise Diverged(f"run diverged in step {k} (t={f_in.time + k * cfg.dt}): {exc}") from exc
         if k in stored:
             snaps.append(PhaseEnsemble(x, v, f_in.w, stored[k], f_in.r))
             pair_energies.append(op.energy)

@@ -43,7 +43,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from .core import project_measure
-from .errors import DimensionMismatch, TooLarge, ValidationError
+from .errors import DimensionMismatch, NumericAbort, TooLarge, ValidationError
 from .eps_dynamics import SimConfig, simulate, snapshot_indices
 
 EXACT_CAP = 2048  # atoms in one exact solve: replicas L, or n + m for the LP
@@ -163,7 +163,7 @@ def _w1_lp(mu, nu):
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.w, nu.w]),
                   bounds=(0, None), method="highs")
     if not res.success:
-        raise ValidationError(f"transport LP failed: {res.message}")
+        raise NumericAbort(f"transport LP failed: {res.message}")
     pi = res.x.reshape(n, m)
     i, j = np.nonzero(pi > 1e-15)
     return float(np.sum(pi * cost)), i, j, pi[i, j], int(getattr(res, "nit", 0))

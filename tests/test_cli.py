@@ -18,8 +18,9 @@ from swarmlab.cli import (
     parse_config,
     run,
 )
-from swarmlab.core import ModelParams, ensemble_from_csv, ensemble_to_json
-from swarmlab.errors import ParseError, ValidationError
+from swarmlab.core import ModelParams, PhaseEnsemble, ensemble_from_csv, ensemble_to_json
+from swarmlab.errors import ConfigError, NumericAbort, ParseError, SwarmError, ValidationError
+from swarmlab.sphere_dynamics import MAX_TURN
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 MINIMAL_EPS = {
@@ -759,9 +760,13 @@ class TestFailFast:
         assert err.startswith("numeric abort: run diverged in step 1 (t=0.001)")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_huge_alignment_on_the_sphere_runs(self, tmp_path):
-        # the limit step renormalizes the speeds, which keeps them in range
-        assert _main_in(tmp_path, _aligned("simulate-limit", 1e100)) == (0, True)
+    def test_huge_alignment_on_the_sphere_is_numeric_abort(self, tmp_path, capsys):
+        # renormalizing kept the speeds in range, so each step turned every
+        # omega by 90 degrees and the run exited 0
+        assert _main_in(tmp_path, _aligned("simulate-limit", 1e100)) == (3, False)
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: run diverged in step 1 (t=0.001): turn measure")
+        assert f"bound {MAX_TURN}" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("doc", [
@@ -807,3 +812,54 @@ class TestFailFast:
                "roots": {"A": 1e308, "eps_list": [10.0]}}
         assert _main_in(tmp_path, doc) == (2, False)
         assert "eps*A" in capsys.readouterr().err
+
+
+def _error_types(base=SwarmError):
+    """`base` and every subclass of it, recursively."""
+    return [base, *(t for sub in base.__subclasses__() for t in _error_types(sub))]
+
+
+CATEGORIES = (SwarmError, ConfigError, NumericAbort)
+ROOTS = {"mode": "roots", "model": {"alpha": 1.0, "beta": 1.0},
+         "roots": {"A": -1.0, "eps_list": [0.01]}}
+
+
+class TestExitCodes:
+    """The exit-code policy lives on the error types, and `main` reads it off."""
+
+    def test_every_error_type_is_in_a_category(self):
+        concrete = [t for t in _error_types() if t not in CATEGORIES]
+        assert len(concrete) >= 8
+        assert [t for t in concrete if not issubclass(t, (ConfigError, NumericAbort))] == []
+
+    def test_categories_carry_codes_and_labels(self):
+        assert [(t.exit_code, t.label) for t in CATEGORIES] == [
+            (3, "error"), (2, "config error"), (3, "numeric abort")]
+
+    @pytest.mark.parametrize("error", _error_types(), ids=lambda t: t.__name__)
+    def test_main_reports_an_error_by_its_type(self, error, tmp_path, monkeypatch, capsys):
+        def fail(cfg, seed, formats):
+            raise error("probe")
+
+        monkeypatch.setitem(MODES, "roots", (fail, MODES["roots"][1]))
+        assert _main_in(tmp_path, ROOTS) == (error.exit_code, False)
+        assert capsys.readouterr().err == f"{error.label}: probe\n"
+
+    def test_failed_transport_lp_is_numeric_abort(self, tmp_path, monkeypatch, capsys):
+        # a solver failure on valid snapshots used to exit 2 as a config error
+        import swarmlab.transport as transport
+        from scipy.optimize import OptimizeResult
+
+        monkeypatch.setattr(transport, "linprog",
+                            lambda *args, **kwargs: OptimizeResult(success=False,
+                                                                   message="probe"))
+        a = build_initial_ensemble({"n": 4, "distribution": "on_sphere"},
+                                   ModelParams(1.0, 1.0, 0.05))
+        b = PhaseEnsemble(a.x[:3], a.v[:3], [0.5, 0.25, 0.25])  # unequal weights: the LP
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, ens in zip(paths, (a, b)):
+            path.write_text(ensemble_to_json(ens))
+        out = tmp_path / "out"
+        assert main(["compare", *map(str, paths), "--output", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("numeric abort: transport LP failed: probe")
