@@ -31,6 +31,7 @@ from .core import (
     ensemble_from_json,
     ensemble_to_csv,
     ensemble_to_json,
+    format_particles,
     project_measure,
 )
 from .eps_dynamics import SimConfig, simulate
@@ -270,12 +271,23 @@ def build_initial_ensemble(init: dict, params: ModelParams) -> PhaseEnsemble:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _snapshot_csv(ens: PhaseEnsemble) -> str:
-    """Snapshot table; a d = 3 sphere snapshot gains its chart angles."""
-    if ens.r is not None and ens.dim == 3:
-        theta, phi = spherical_coords_3d(ens.v, ens.r)
-        return ensemble_to_csv(ens, theta=theta, phi=phi)
-    return ensemble_to_csv(ens)
+def _snapshot_files(named, formats):
+    """Each (stem, ensemble)'s files in the run's formats, the CSVs first.
+    A snapshot's numbers are formatted once, and both writers fill their
+    templates from those strings; a CSV of a d = 3 sphere snapshot gains
+    its chart angles."""
+    if not formats:
+        return
+    tables = []
+    for stem, ens in named:
+        extra = {}
+        if "csv" in formats and ens.r is not None and ens.dim == 3:
+            extra = dict(zip(("theta", "phi"), spherical_coords_3d(ens.v, ens.r)))
+        tables.append((stem, format_particles(ens, **extra)))
+    for fmt, write in (("csv", ensemble_to_csv), ("json", ensemble_to_json)):
+        if fmt in formats:
+            for stem, table in tables:
+                yield f"{stem}.{fmt}", write(table)
 
 
 def _moments_csv(traj) -> str:
@@ -324,11 +336,8 @@ def _mode_simulate(cfg, seed, formats):
         ens = project_measure(ens, params.r)
     traj = simulate(ens, _run_config(cfg, params, spec, seed))
     prefix = "snap_limit" if limit else "snap_eps"
-    for k, snap in enumerate(traj.snapshots):
-        if "csv" in formats:
-            yield f"{prefix}_{k:05d}.csv", _snapshot_csv(snap)
-        if "json" in formats:
-            yield f"{prefix}_{k:05d}.json", ensemble_to_json(snap)
+    for k, snap in enumerate(traj.snapshots):  # one snapshot's strings at a time
+        yield from _snapshot_files([(f"{prefix}_{k:05d}", snap)], formats)
     yield "moments.csv", _moments_csv(traj)
 
 
@@ -338,12 +347,7 @@ def _mode_project(cfg, seed, formats):
     ens = (load_snapshot(source) if source
            else build_initial_ensemble({**cfg.init, "seed": seed}, params))
     sphere = project_measure(ens, params.r)
-    if "csv" in formats:
-        yield "source.csv", _snapshot_csv(ens)
-        yield "projected.csv", _snapshot_csv(sphere)
-    if "json" in formats:
-        yield "source.json", ensemble_to_json(ens)
-        yield "projected.json", ensemble_to_json(sphere)
+    yield from _snapshot_files([("source", ens), ("projected", sphere)], formats)
 
 
 def _mode_roots(cfg, seed, formats):

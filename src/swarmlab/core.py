@@ -167,7 +167,10 @@ def moments(ens: PhaseEnsemble) -> MomentReport:
 # ---------------------------------------------------------------------------
 # Serialization: CSV (one row per particle) and JSON (with a header object).
 # Floats are written with repr() so identical runs emit identical bytes and
-# values round-trip exactly.
+# values round-trip exactly. A snapshot's numbers are formatted once, by
+# format_particles; both snapshot writers fill their templates from those
+# strings, so a snapshot written as CSV and as JSON calls repr() once per
+# value. csv_text writes the small tables (moments, roots, flow, sweep).
 # ---------------------------------------------------------------------------
 
 def csv_text(header, rows) -> str:
@@ -178,13 +181,47 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ensemble_to_csv(ens: PhaseEnsemble, **extra) -> str:
-    """One row per particle; each `extra` entry is a named per-particle
-    column written after w."""
+@dataclass(frozen=True)
+class ParticleCells:
+    """An ensemble's particle table as text: `cells` holds, row after row,
+    each particle's id, x, v, w and extra columns, each the repr() of its
+    number; `header` names the columns."""
+
+    ens: PhaseEnsemble
+    header: tuple
+    cells: list
+
+    def rows(self, width: int):
+        """The first `width` cells of each row, row by row."""
+        step = len(self.header)
+        return (self.cells[k:k + width] for k in range(0, len(self.cells), step))
+
+
+def format_particles(ens: PhaseEnsemble, **extra) -> ParticleCells:
+    """The one formatting pass of a snapshot: repr() of every particle's
+    x, v and w, and of each `extra` per-particle column after w."""
     d = range(1, ens.dim + 1)
-    header = ["id", *(f"x{k}" for k in d), *(f"v{k}" for k in d), "w", *extra]
-    table = np.column_stack([ens.x, ens.v, ens.w, *extra.values()])
-    return csv_text(header, ([i, *row] for i, row in enumerate(table.tolist())))
+    header = ("id", *(f"x{k}" for k in d), *(f"v{k}" for k in d), "w", *extra)
+    columns = np.column_stack([ens.x, ens.v, ens.w, *extra.values()]).T.tolist()
+    cells = [""] * (ens.n * len(header))
+    cells[::len(header)] = map(str, range(ens.n))
+    for k, column in enumerate(columns, 1):
+        cells[k::len(header)] = map(repr, column)
+    return ParticleCells(ens, header, cells)
+
+
+def _formatted(ens, extra) -> ParticleCells:
+    return ens if isinstance(ens, ParticleCells) else format_particles(ens, **extra)
+
+
+def ensemble_to_csv(ens: PhaseEnsemble | ParticleCells, **extra) -> str:
+    """One row per particle; each `extra` entry is a named per-particle
+    column written after w. Given the ParticleCells of an ensemble, which
+    hold their extra columns already, it writes those strings."""
+    table = _formatted(ens, extra)
+    lines = [",".join(table.header)]
+    lines += map(",".join, table.rows(len(table.header)))
+    return "\n".join(lines) + "\n"
 
 
 def ensemble_from_csv(text: str, time: float = 0.0,
@@ -213,21 +250,24 @@ def ensemble_from_csv(text: str, time: float = 0.0,
                          time=time, r=r)
 
 
-def ensemble_to_json(ens: PhaseEnsemble) -> str:
+def ensemble_to_json(ens: PhaseEnsemble | ParticleCells) -> str:
     """The snapshot document, as exactly the bytes of `json.dumps(doc, indent=1)`
     for doc = {"header": {"dim", "time", "r"}, "particles": [{"id", "x", "v",
     "w"}, ...]}. With `indent` set, `json.dumps` runs its pure-Python encoder,
-    so the particles are written instead through one %-template per particle.
-    `json` writes a float as `float.__repr__`, the function `%r` calls, and
-    x, v and w are finite, so the bytes agree. The header values still go
-    through `json.dumps`, which keeps an integer time or radius, and null."""
-    cells = ",\n    ".join(["%r"] * ens.dim)
-    particle = ('  {\n   "id": %d,\n   "x": [\n    ' + cells + '\n   ],\n   "v": [\n    '
-                + cells + '\n   ],\n   "w": %r\n  }')
-    rows = np.column_stack([ens.x, ens.v, ens.w]).tolist()
+    so the particles are written instead through one %-template per particle,
+    filled from the repr() strings of format_particles (given ParticleCells,
+    from theirs; extra columns are not written). `json` writes a float as
+    `float.__repr__`, and x, v and w are finite, so the bytes agree. The
+    header values still go through `json.dumps`, which keeps an integer time
+    or radius, and null."""
+    table = _formatted(ens, {})
+    ens = table.ens
+    cells = ",\n    ".join(["%s"] * ens.dim)
+    particle = ('  {\n   "id": %s,\n   "x": [\n    ' + cells + '\n   ],\n   "v": [\n    '
+                + cells + '\n   ],\n   "w": %s\n  }')
     head = ('{\n "header": {\n  "dim": %d,\n  "time": %s,\n  "r": %s\n },\n "particles": [\n'
             % (ens.dim, json.dumps(ens.time), json.dumps(ens.r)))
-    body = ",\n".join([particle % (i, *row) for i, row in enumerate(rows)])
+    body = ",\n".join([particle % tuple(row) for row in table.rows(2 * ens.dim + 2)])
     return head + body + "\n ]\n}"
 
 

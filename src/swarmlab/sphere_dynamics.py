@@ -87,12 +87,13 @@ def advance_limit(x, v, cfg, step_index: int, op: PairOperator, r: float):
 
 # ---------------------------------------------------------------------------
 # 3D charts: omega = r (cos(theta) cos(phi), cos(theta) sin(phi), sin(theta)),
-# theta in (-pi/2, pi/2), phi in [0, 2 pi).
+# theta in [-pi/2, pi/2], phi in [0, 2 pi).
 # ---------------------------------------------------------------------------
 
 def spherical_coords_3d(omega, r: float):
     """Chart angles (theta, phi) of a point, or arrays of them over the rows
-    of an (n, 3) batch."""
+    of an (n, 3) batch: theta in [-pi/2, pi/2], exactly +-pi/2 at the poles,
+    and phi in [0, 2 pi)."""
     omega = np.asarray(omega, dtype=float)
     if omega.ndim not in (1, 2) or omega.shape[-1] != 3:
         raise ValidationError(f"expected 3D points, got shape {omega.shape}")
@@ -101,4 +102,5 @@ def spherical_coords_3d(omega, r: float):
         raise ValidationError(f"point is off the radius-{r} sphere by {np.max(off):.3e}")
     theta = np.arcsin(np.clip(omega[..., 2] / r, -1.0, 1.0))
     phi = np.arctan2(omega[..., 1], omega[..., 0]) % (2.0 * math.pi)
-    return theta, phi
+    # a tiny negative angle plus 2 pi rounds to 2 pi, which is the angle 0
+    return theta, np.where(phi < 2.0 * math.pi, phi, 0.0)[()]

@@ -18,7 +18,13 @@ from swarmlab.cli import (
     parse_config,
     run,
 )
-from swarmlab.core import ModelParams, PhaseEnsemble, ensemble_from_csv, ensemble_to_json
+from swarmlab.core import (
+    ModelParams,
+    PhaseEnsemble,
+    ensemble_from_csv,
+    ensemble_to_json,
+    format_particles,
+)
 from swarmlab.errors import ConfigError, NumericAbort, ParseError, SwarmError, ValidationError
 from swarmlab.sphere_dynamics import MAX_TURN
 
@@ -478,6 +484,62 @@ class TestRun:
         assert {Path(f).name for f in doc["files"]} == emitted
         from swarmlab.core import config_hash
         assert doc["config_hash"] == config_hash({**cfg.as_dict(), "seed": 1})
+
+
+LIMIT_3D_BOTH = {
+    "mode": "simulate-limit",
+    "model": {"alpha": 1.0, "beta": 1.0},
+    "kernels": {"name": "constant_weight", "params": {"K": 1.0}},
+    "init": {"n": 8, "dim": 3, "L0": 1.0, "distribution": "on_sphere", "seed": 4},
+    "integrator": {"T": 0.03, "dt": 1e-2, "stride": 1, "diffusion": True},
+    "output": {"formats": ["csv", "json"]},
+}
+PROJECT_BOTH = {
+    "mode": "project",
+    "model": {"alpha": 1.0, "beta": 1.0},
+    "init": {"n": 12, "dim": 3, "L0": 1.0, "r0": 0.5, "R0": 1.5,
+             "distribution": "uniform_annulus", "seed": 5},
+    "output": {"formats": ["csv", "json"]},
+}
+
+
+class TestSnapshotFormatting:
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """The ensembles format_particles is called on, from cli or core."""
+        calls = []
+
+        def counted(ens, **extra):
+            calls.append(ens)
+            return format_particles(ens, **extra)
+
+        monkeypatch.setattr("swarmlab.cli.format_particles", counted)
+        monkeypatch.setattr("swarmlab.core.format_particles", counted)
+        return calls
+
+    @pytest.mark.parametrize("doc, stems", [
+        (LIMIT_3D_BOTH, [f"snap_limit_{k:05d}" for k in range(4)]),
+        (PROJECT_BOTH, ["projected", "source"]),
+    ], ids=["simulate-limit", "project"])
+    def test_one_pass_fills_both_twins(self, doc, stems, tmp_path, formatted):
+        run(parse_config(json.dumps(doc)), output_dir=str(tmp_path))
+        assert sorted(p.stem for p in tmp_path.glob("*.json") if p.stem != "manifest") == stems
+        assert len(formatted) == len(stems)
+        for stem in stems:
+            twin = load_snapshot(str(tmp_path / f"{stem}.json"))
+            table = ensemble_from_csv((tmp_path / f"{stem}.csv").read_text())
+            for key in "xvw":
+                np.testing.assert_array_equal(getattr(table, key), getattr(twin, key))
+
+    def test_json_only_run_computes_no_chart(self, tmp_path, formatted, monkeypatch):
+        def no_chart(*args):
+            raise AssertionError("a JSON-only run computed chart angles")
+
+        monkeypatch.setattr("swarmlab.cli.spherical_coords_3d", no_chart)
+        doc = {**LIMIT_3D_BOTH, "output": {"formats": ["json"]}}
+        run(parse_config(json.dumps(doc)), output_dir=str(tmp_path))
+        assert len(list(tmp_path.glob("snap_limit_*.json"))) == len(formatted) == 4
+        assert not list(tmp_path.glob("snap_limit_*.csv"))
 
 
 SWEEP_16 = {

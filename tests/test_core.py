@@ -184,32 +184,55 @@ _coords = st.one_of(st.sampled_from(_EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _drawn_ensemble(data, d, n, time, r):
+    """An ensemble of n particles in d dimensions whose coordinates are drawn
+    from _coords, with a radius r (None or exactly on the sphere)."""
+    def table(cells):
+        return np.array(data.draw(st.lists(cells, min_size=n * d, max_size=n * d)),
+                        dtype=float).reshape(n, d)
+
+    x = table(_coords)
+    if r is None:
+        v = table(_coords)
+        v[np.all(v == 0.0, axis=1), 0] = 1.0
+    else:  # +-r along a drawn axis: exactly on the sphere
+        axes = np.array(data.draw(st.lists(st.integers(0, 2 * d - 1),
+                                           min_size=n, max_size=n)))
+        v = table(st.sampled_from([0.0, -0.0]))
+        v[np.arange(n), axes % d] = np.where(axes < d, r, -r)
+    rest = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS[:5] + (1e-5,)),
+                                        st.floats(0.0, 1 / 64)),
+                              min_size=n - 1, max_size=n - 1))
+    w = [1.0 - math.fsum(rest), *rest]
+    return PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
+
+
+_radii = st.one_of(st.none(), st.integers(1, 10**6), st.floats(1e-100, 1e100))
+
+
 class TestSerialization:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 40),
            time=st.one_of(st.integers(-2**62, 2**62),
                           st.floats(allow_nan=False, allow_infinity=False)),
-           r=st.one_of(st.none(), st.integers(1, 10**6), st.floats(1e-100, 1e100)))
+           r=_radii)
     def test_json_is_the_encoder_bytes(self, data, d, n, time, r):
-        def table(cells):
-            return np.array(data.draw(st.lists(cells, min_size=n * d, max_size=n * d)),
-                            dtype=float).reshape(n, d)
-
-        x = table(_coords)
-        if r is None:
-            v = table(_coords)
-            v[np.all(v == 0.0, axis=1), 0] = 1.0
-        else:  # +-r along a drawn axis: exactly on the sphere
-            axes = np.array(data.draw(st.lists(st.integers(0, 2 * d - 1),
-                                               min_size=n, max_size=n)))
-            v = table(st.sampled_from([0.0, -0.0]))
-            v[np.arange(n), axes % d] = np.where(axes < d, r, -r)
-        rest = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS[:5] + (1e-5,)),
-                                            st.floats(0.0, 1 / 64)),
-                                  min_size=n - 1, max_size=n - 1))
-        w = [1.0 - math.fsum(rest), *rest]
-        ens = PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
+        ens = _drawn_ensemble(data, d, n, time, r)
         assert ensemble_to_json(ens) == _json_reference(ens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 40), r=_radii,
+           extra=st.sampled_from([(), ("theta", "phi")]))
+    def test_csv_is_repr_of_each_cell(self, data, d, n, r, extra):
+        ens = _drawn_ensemble(data, d, n, 0.0, r)
+        columns = {name: data.draw(st.lists(_coords, min_size=n, max_size=n))
+                   for name in extra}
+        header = ["id", *(f"x{k + 1}" for k in range(d)), *(f"v{k + 1}" for k in range(d)),
+                  "w", *extra]
+        rows = [[i, *xi, *vi, wi, *ex] for i, (xi, vi, wi, *ex) in enumerate(
+            zip(ens.x.tolist(), ens.v.tolist(), ens.w.tolist(), *columns.values()))]
+        assert ensemble_to_csv(ens, **columns) == "".join(
+            ",".join(row) + "\n" for row in [header, *(map(repr, row) for row in rows)])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_csv_round_trip(self, d):

@@ -249,6 +249,17 @@ class TestSphericalCharts:
                           <= np.spacing(np.abs(ref)))
         assert np.all((phi >= 0) & (phi < 2 * np.pi))
 
+    def test_angles_stay_in_their_ranges(self):
+        # atan2 of a tiny negative y is -1e-17, and -1e-17 % (2 pi) rounds to
+        # 2 pi; at the poles arcsin gives theta exactly +-pi/2
+        om = np.array([[1.0, -1e-17, 0.0], [1.0, -1e-300, 0.0], [1.0, -0.0, 0.0],
+                       [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        theta, phi = spherical_coords_3d(om, 1.0)
+        assert phi.tolist()[:3] == [0.0, 0.0, 0.0]
+        assert np.all((phi >= 0) & (phi < 2 * np.pi))
+        assert theta.tolist()[3:] == [np.pi / 2, -np.pi / 2]
+        assert spherical_coords_3d(om[0], 1.0) == (0.0, 0.0)
+
     def test_batch_rejects_one_row_off_sphere(self):
         r = 1.0
         om = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 + 1e-6]])
