@@ -381,7 +381,18 @@ def _mode_flow(cfg, seed, formats):
 def _mode_compare(cfg, seed, formats):
     a = load_snapshot(cfg.compare["file_a"])
     b = load_snapshot(cfg.compare["file_b"])
-    yield "w1_report.json", json.dumps(vars(w1_exact(a, b)), indent=1)
+    yield "w1_report.json", _w1_report_json(w1_exact(a, b))
+
+
+def _w1_report_json(rep) -> str:
+    """The report as exactly the bytes of `json.dumps(vars(rep), indent=1)`,
+    through one %-template per plan triple instead of the pure-Python encoder
+    that `indent` selects. Its numbers are finite Python ints and floats, which
+    `json` writes as `%d` and `float.__repr__` do."""
+    plan = ",\n".join(["  [\n   %d,\n   %d,\n   %r\n  ]" % entry for entry in rep.plan])
+    return ('{\n "value": %r,\n "solver": %s,\n "iterations": %d,\n "residual": %r,\n'
+            ' "plan": [\n%s\n ]\n}'
+            % (rep.value, json.dumps(rep.solver), rep.iterations, rep.residual, plan))
 
 
 def _mode_sweep(cfg, seed, formats):

@@ -12,6 +12,7 @@ import swarmlab
 from swarmlab.cli import (
     MODES,
     RunConfig,
+    _w1_report_json,
     build_initial_ensemble,
     load_snapshot,
     main,
@@ -27,6 +28,7 @@ from swarmlab.core import (
 )
 from swarmlab.errors import ConfigError, NumericAbort, ParseError, SwarmError, ValidationError
 from swarmlab.sphere_dynamics import MAX_TURN
+from swarmlab.transport import w1_exact
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 MINIMAL_EPS = {
@@ -369,6 +371,23 @@ class TestRun:
         rep = json.loads((tmp_path / "c" / "w1_report.json").read_text())
         assert rep["value"] > 0
         assert rep["solver"] == "assignment"
+
+    @pytest.mark.parametrize("weights_a,m,solver", [
+        (None, 6, "assignment"),                  # 4 vs 6: masses 1/12
+        (None, 4, "assignment"),                  # a self pair: value 0.0
+        ([0.5, 0.3, 0.15, 0.05], 7, "lp"),        # HiGHS masses
+    ])
+    def test_w1_report_is_the_encoder_bytes(self, weights_a, m, solver):
+        a = PhaseEnsemble(x=[[0.1, 0.2], [0.3, -0.4], [-1.0, 0.5], [0.7, 0.7]],
+                          v=[[1.0, 0.0], [0.0, 1.5], [-0.5, 0.5], [0.3, -0.9]],
+                          w=weights_a or [0.25] * 4)
+        rng = np.random.default_rng(m)
+        b = a if m == 4 else PhaseEnsemble(x=rng.normal(size=(m, 2)), v=rng.normal(size=(m, 2)),
+                                           w=np.full(m, 1.0 / m))
+        rep = w1_exact(a, b)
+        assert rep.solver == solver
+        assert any(mass * 2**20 % 1 for _, _, mass in rep.plan) == (m != 4)  # not dyadic
+        assert _w1_report_json(rep) == json.dumps(vars(rep), indent=1)
 
     def test_project_from_limit_snapshot(self, tmp_path):
         limit = {

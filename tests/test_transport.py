@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from swarmlab import (
@@ -228,6 +229,79 @@ class TestUniformReplicatedAssignment:
         assert rep.solver == "assignment"
         lp_value = _w1_lp(a, b)[0]
         assert abs(rep.value - lp_value) <= 1e-12
+
+
+def _coupled(n, d, seed, noise):
+    """A uniform cloud and its copy moved by `noise`-sized Gaussian steps."""
+    a = make_phase(n, d=d, seed=seed)
+    step = noise * np.random.default_rng(seed + 1).standard_normal((n, 2 * d))
+    return a, PhaseEnsemble(x=a.x + step[:, :d], v=a.v + step[:, d:], w=a.w)
+
+
+def _dense_assignment(mu, nu):
+    """The equal-count value and plan of a cdist matrix and one LSAP solve."""
+    cost = cdist(np.hstack([mu.x, mu.v]), np.hstack([nu.x, nu.v]))
+    rows, cols = linear_sum_assignment(cost)
+    value = float(np.sum(cost[rows, cols]) * (1.0 / mu.n))
+    return value, tuple(zip(rows.tolist(), cols.tolist(), [1.0 / mu.n] * mu.n))
+
+
+class TestNearestNeighbourCertificate:
+    """Equal uniform counts whose nearest-column map is a permutation take it
+    as the plan without a cost matrix or an assignment; others reach LSAP."""
+
+    @pytest.fixture
+    def lsap_calls(self, monkeypatch):
+        import swarmlab.transport as transport
+
+        calls = []
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coupled_clouds_skip_the_assignment(self, n, d, monkeypatch):
+        import swarmlab.transport as transport
+
+        def no_lsap(cost):
+            raise AssertionError("a coupled pair reached linear_sum_assignment")
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", no_lsap)
+        mu, nu = _coupled(n, d, seed=n + d, noise=1e-3)
+        rep = w1_exact(mu, nu)
+        value, plan = _dense_assignment(mu, nu)
+        assert (rep.value, rep.plan) == (value, plan)
+        assert (rep.solver, rep.iterations, rep.residual) == ("assignment", n, 0.0)
+
+    def test_independent_clouds_reach_the_assignment(self, lsap_calls):
+        mu, nu = make_phase(64, seed=1), make_phase(64, seed=2)
+        rep = w1_exact(mu, nu)
+        assert lsap_calls == [(64, 64)]
+        assert (rep.value, rep.plan) == _dense_assignment(mu, nu)
+
+    def test_duplicated_atom_reaches_the_assignment(self, lsap_calls):
+        # mu's first two atoms are one point, so both rows find the same
+        # nearest column of nu, whose first two atoms are one point too
+        keep = [0, 0, *range(2, 64)]
+        mu, nu = (PhaseEnsemble(x=e.x[keep], v=e.v[keep], w=e.w)
+                  for e in _coupled(64, 2, seed=3, noise=1e-3))
+        rep = w1_exact(mu, nu)
+        assert lsap_calls == [(64, 64)]
+        assert (rep.value, rep.plan) == _dense_assignment(mu, nu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), d=st.sampled_from([2, 3]), seed=st.integers(0, 10**6),
+           noise=st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 10.0]))
+    def test_value_is_the_dense_value(self, n, d, seed, noise):
+        mu, nu = _coupled(n, d, seed, noise)
+        rep = w1_exact(mu, nu)
+        assert rep.value == _dense_assignment(mu, nu)[0]
+        assert rep.residual == 0.0
 
 
 class TestConvergenceStudy:
