@@ -48,6 +48,7 @@ from .sphere_dynamics import spherical_coords_3d
 from .transport import convergence_study, w1_exact
 
 INTEGRATOR_DEFAULTS = {"dt": 1e-3, "stride": 100, "scheme": "strang", "diffusion": False}
+DEFAULT_T = 1.0  # the simulate modes' horizon when integrator.T is not given
 FORMATS = ("csv", "json")
 
 
@@ -189,6 +190,21 @@ def _validate(cfg: RunConfig):
     if "roots.A" in reads:
         for eps in cfg.roots["eps_list"]:
             check_speed_balance(float(eps), float(cfg.roots["A"]), params)
+    if "integrator.T" in reads:
+        _check_whole_steps(float(cfg.integrator.get("T", DEFAULT_T)),
+                           float(cfg.integrator["dt"]))
+
+
+def _check_whole_steps(T: float, dt: float):
+    """ValidationError unless T/dt is a whole number to a relative 1e-9: a run
+    takes round(T/dt) steps, so any other horizon would end at another time.
+    A T/dt below 1 or past 2**63 is left to SimConfig, which names it."""
+    steps = T / dt
+    if not 1.0 <= steps < 2.0**63 or abs(steps - round(steps)) <= 1e-9 * steps:
+        return
+    nearest = " and ".join(f"{k * dt:.12g}" for k in (math.floor(steps), math.ceil(steps)))
+    raise ValidationError(f"integrator.T={T} is not a whole number of steps dt={dt} "
+                          f"(T/dt = {steps!r}); the nearest whole-step horizons are {nearest}")
 
 
 def _model_params(cfg: RunConfig) -> ModelParams:
@@ -318,7 +334,7 @@ def _run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> SimConfig:
     integ = cfg.integrator
     return SimConfig(
         params=params, spec=spec, dt=float(integ["dt"]),
-        T=float(horizon if horizon is not None else integ.get("T", 1.0)),
+        T=float(horizon if horizon is not None else integ.get("T", DEFAULT_T)),
         snapshot_stride=int(integ["stride"]),
         diffusion=bool(integ["diffusion"]), rng_seed=seed,
     )

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ModelParams
 from .errors import FlowBlowup, ValidationError
@@ -53,7 +52,11 @@ def lambda_eps(rho: float, eps: float, A: float, params: ModelParams) -> float:
 
 def _root(f, lo, hi):
     # xtol far below any root: brentq then stops at its relative tolerance,
-    # a few ulps of the root; a bracket without a sign change raises
+    # a few ulps of the root; a bracket without a sign change raises.
+    # scipy.optimize loads at the first root: a run that finds none never
+    # imports it
+    from scipy.optimize import brentq
+
     return brentq(f, lo, hi, xtol=1e-300)
 
 

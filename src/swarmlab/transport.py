@@ -37,6 +37,11 @@ is still allocated before the tree: built first, the tree's small arrays
 split the freed pair buffer that the matrix would reuse, and a sweep's peak
 RSS grew by one matrix.
 
+scipy.optimize is imported by the solve that first calls it: the LP, or an
+assignment past the certificate. A process whose pairs all certify (a
+coupled `compare`, a sweep whose every pair certifies) never loads it, and
+saves its import, about 0.1 s on the machine above.
+
 `convergence_study` checks its inputs, then runs its trajectories, then its
 distinct W1 solves, on SWARM_THREADS lanes (default 1): the calling thread is
 lane 0, and each run or solve is computed whole on one lane by the same
@@ -53,7 +58,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import KDTree
 from scipy.spatial.distance import cdist
 
@@ -167,6 +171,9 @@ def _w1_assignment(mu, nu):
         dist, near = KDTree(b).query(a)
         if np.bincount(near, minlength=n).max() == 1:
             return float(np.sum(dist) * (1.0 / n)), np.arange(n), near, np.full(n, 1.0 / n), n
+    # imported past the certificate: a certified pair never loads scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     atom_a = np.repeat(np.arange(n), replicas // n)
     atom_b = np.repeat(np.arange(m), replicas // m)
     cdist(a[atom_a], b[atom_b], out=cost)
@@ -179,6 +186,8 @@ def _w1_assignment(mu, nu):
 
 def _w1_lp(mu, nu):
     """The transport LP on the n*m plan entries: one equality per atom's mass."""
+    from scipy.optimize import linprog
+
     cost = cdist(_points(mu), _points(nu))
     n, m = cost.shape
     a_eq = sparse.vstack([sparse.kron(sparse.identity(n), np.ones((1, m))),

@@ -13,6 +13,8 @@ anything here.
   potential and its sup bound.
 - Sphere: three routes to the intrinsic Laplacian; the 3D chart point, frame
   and divergence, whose chart operations exclude POLE_BAND around the poles.
+- Alignment: the Moebius family that solves noiseless `constant_weight`
+  alignment on the circle exactly (the Cucker-Smale-to-Vicsek reduction).
 - Harnesses over whole runs, built on the program's field and W1:
   `support_in_band` and the equicontinuity probe.
 """
@@ -363,6 +365,44 @@ def spherical_laplacian_3d(F, theta: float, phi: float, r: float,
     d2_phi = (F(theta, phi + h) - 2.0 * f0 + F(theta, phi - h)) / (h * h)
     cos_t = math.cos(theta)
     return (d2_theta - math.tan(theta) * d_theta + d2_phi / (cos_t * cos_t)) / (r * r)
+
+
+# ---------------------------------------------------------------------------
+# Exact alignment solution: Cucker-Smale reduces to Vicsek (Kuramoto) on the
+# sphere.
+# ---------------------------------------------------------------------------
+
+def mobius_alignment(n: int, q0: float, K: float, r: float, t: float):
+    """The noiseless sphere limit in d = 2 of `constant_weight` alignment at
+    gain K, where every particle turns by theta_i' = (K |J| / r) sin(psi -
+    theta_i) toward the direction psi of the mean velocity J. Started from
+    omega_j(0) = r M_q0(w_j), w_j = e^(2 pi i j / n), with the Moebius map
+    M_q(z) = (z + q) / (1 + conj(q) z) and a real q0 in (0, 1), the motion
+    stays in that family (Watanabe & Strogatz, Physica D 74, 1994):
+
+        omega_j(t) = r M_q(t)(w_j),  q(t)^2 = q0^2 e^(Kt) / (1 - q0^2 + q0^2 e^(Kt)),
+
+    which solves q' = (K/2) q (1 - q^2), while J = r q up to a term of order
+    q^n. Positions move by x_j(t) - x_j(0) = r (F_j(q(t)) - F_j(q0)), with
+    F_j(q) = (2 artanh(q) + 2 w_j log(q / (1 + q w_j))) / K the antiderivative
+    of M_q(w_j) dt = 2 M_q(w_j) dq / (K q (1 - q^2)). Returns the displacement
+    and omega at time t as (n, 2) arrays. ValueError when q(t)^n reaches
+    1e-16, where the family stops being exact to rounding."""
+    if not 0.0 < q0 < 1.0:
+        raise ValueError(f"need a real q0 in (0, 1), got {q0}")
+    grow = q0 * q0 * math.exp(K * t)
+    q = math.sqrt(grow / (1.0 - q0 * q0 + grow))
+    if q**n >= 1e-16:
+        raise ValueError(f"q(t)^n = {q**n:.3g} is not below 1e-16: take more particles")
+    w = np.exp(2j * math.pi * np.arange(n) / n)
+
+    def antiderivative(p):
+        return (2.0 * math.atanh(p) + 2.0 * w * np.log(p / (1.0 + p * w))) / K
+
+    omega = r * (w + q) / (1.0 + q * w)
+    dx = r * (antiderivative(q) - antiderivative(q0))
+    return (np.column_stack([dx.real, dx.imag]),
+            np.column_stack([omega.real, omega.imag]))
 
 
 # ---------------------------------------------------------------------------

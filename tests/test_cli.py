@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import KDTree
 
 import swarmlab
 from swarmlab.cli import (
@@ -449,15 +450,11 @@ class TestRun:
         # most N from 578 to 699 (OpenBLAS 0.3.31), N = 600 among them. The
         # sweep's W1 values absorb last-bit differences; the limit run's
         # snapshots do not. At SWARM_THREADS=2 two study lanes call OpenBLAS.
-        src = str(Path(swarmlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-
         def outputs(mode, doc, blas, lanes):
             cfg_path = tmp_path / f"{mode}.json"
             cfg_path.write_text(json.dumps(doc))
             out = tmp_path / f"{mode}-blas{blas}-lanes{lanes}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "SWARM_THREADS": lanes,
-                   "PYTHONPATH": path}
+            env = _fresh_env(OPENBLAS_NUM_THREADS=blas, SWARM_THREADS=lanes)
             subprocess.run([sys.executable, "-m", "swarmlab.cli", mode, str(cfg_path),
                             "--output", str(out)], env=env, check=True,
                            capture_output=True)
@@ -467,10 +464,7 @@ class TestRun:
                     continue
                 data = p.read_bytes()
                 if p.name == "sweep.csv":
-                    lines = data.decode().splitlines()
-                    cut = lines[0].split(",").index("runtime_ms")
-                    data = "\n".join(",".join(c for k, c in enumerate(ln.split(","))
-                                              if k != cut) for ln in lines).encode()
+                    data = _without_runtime(data.decode()).encode()
                 blobs[p.name] = data
             return blobs
 
@@ -756,6 +750,29 @@ class TestFailFast:
         assert _main_in(tmp_path, doc) == (2, False)
         assert "T/dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["simulate-eps", "simulate-limit"])
+    @pytest.mark.parametrize("horizon,nearest", [
+        (0.0025, "0.002 and 0.003"), (0.0035, "0.003 and 0.004"), (0.0015, "0.001 and 0.002")])
+    def test_horizon_between_steps_is_config_error(self, mode, horizon, nearest, tmp_path,
+                                                   capsys):
+        # round(T/dt) rounds half to even: these ran to t = 0.002, 0.004 and
+        # 0.002 with exit 0
+        model = MINIMAL_EPS["model"] if mode == "simulate-eps" else ALPHA_BETA
+        doc = {**MINIMAL_EPS, "mode": mode, "model": model,
+               "integrator": {"T": horizon, "dt": 1e-3, "stride": 1}}
+        assert _main_in(tmp_path, doc) == (2, False)
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: integrator.T={horizon} is not a whole number")
+        assert err.endswith(f"the nearest whole-step horizons are {nearest}\n")
+
+    @pytest.mark.parametrize("horizon,dt,steps", [(0.05, 1e-2, 5), (0.07, 1e-2, 7)])
+    def test_horizon_a_rounding_off_the_step_grid_runs(self, horizon, dt, steps, tmp_path):
+        # 0.07 / 0.01 is 7.000000000000001: within the 1e-9 relative tolerance
+        doc = {**MINIMAL_EPS, "integrator": {"T": horizon, "dt": dt, "stride": 1}}
+        assert _main_in(tmp_path, doc) == (0, True)
+        rows = (tmp_path / "out" / "moments.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [k * dt for k in range(steps + 1)]
+
     def test_largest_seed_runs(self, tmp_path):
         assert _main_in(tmp_path, MINIMAL_EPS, "--seed", str(2**64 - 1)) == (0, True)
 
@@ -927,11 +944,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"{error.label}: probe\n"
 
     def test_failed_transport_lp_is_numeric_abort(self, tmp_path, monkeypatch, capsys):
-        # a solver failure on valid snapshots used to exit 2 as a config error
-        import swarmlab.transport as transport
+        # a solver failure on valid snapshots used to exit 2 as a config error;
+        # _w1_lp imports linprog when it calls it, so the patch goes on scipy.optimize
+        import scipy.optimize
         from scipy.optimize import OptimizeResult
 
-        monkeypatch.setattr(transport, "linprog",
+        monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *args, **kwargs: OptimizeResult(success=False,
                                                                    message="probe"))
         a = build_initial_ensemble({"n": 4, "distribution": "on_sphere"},
@@ -944,3 +962,104 @@ class TestExitCodes:
         assert main(["compare", *map(str, paths), "--output", str(out)]) == 3
         assert not out.exists()
         assert capsys.readouterr().err.startswith("numeric abort: transport LP failed: probe")
+
+
+def _fresh_env(**extra) -> dict:
+    """os.environ for a fresh interpreter that imports this swarmlab."""
+    src = str(Path(swarmlab.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _without_runtime(table: str) -> str:
+    """A sweep.csv without its runtime_ms column, the one that varies by run."""
+    lines = table.splitlines()
+    cut = lines[0].split(",").index("runtime_ms")
+    return "\n".join(",".join(c for k, c in enumerate(line.split(",")) if k != cut)
+                     for line in lines)
+
+
+# Runs each argv of a JSON list through cli.main in one fresh interpreter (null:
+# the import alone) and prints, per entry, its exit code and whether
+# scipy.optimize is loaded after it.
+_IMPORT_PROBE = """
+import json, sys
+from swarmlab import cli
+
+rows = []
+for argv in json.loads(sys.argv[1]):
+    code = 0 if argv is None else cli.main(argv)
+    rows.append([code, "scipy.optimize" in sys.modules])
+print(json.dumps(rows))
+"""
+
+
+def _import_probe(cwd, steps, **env) -> list:
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)], cwd=cwd,
+                         env=_fresh_env(**env), check=True, capture_output=True, text=True)
+    return [tuple(row) for row in json.loads(out.stdout.splitlines()[-1])]
+
+
+def _certifies(mu, nu) -> bool:
+    """The nearest-neighbour certificate of transport._w1_assignment."""
+    near = KDTree(np.hstack([nu.x, nu.v])).query(np.hstack([mu.x, mu.v]))[1]
+    return bool(np.bincount(near, minlength=nu.n).max() == 1)
+
+
+class TestImportGraph:
+    """scipy.optimize holds the speed-balance root finder and the two W1
+    solvers, and loads at the first call of one: a run that calls none never
+    imports it. Each check starts a fresh interpreter."""
+
+    def test_runs_without_a_solver_leave_scipy_optimize_unloaded(self, tmp_path):
+        limit = json.loads((CONFIGS / "limit.json").read_text())
+        limit["init"]["n"] = 32
+        limit["integrator"].update(T=0.1, stride=20)
+        (tmp_path / "limit.json").write_text(json.dumps(limit))
+        steps = [None,
+                 ["simulate-limit", "limit.json", "--output", "limit"],
+                 ["project", str(CONFIGS / "project.json"), "--output", "project"],
+                 ["flow", str(CONFIGS / "flow.json"), "--output", "flow"],
+                 # every atom next to its projection: the pair certifies
+                 ["compare", "project/source.json", "project/projected.json",
+                  "--output", "compare"]]
+        assert _import_probe(tmp_path, steps) == [(0, False)] * len(steps)
+        assert json.loads((tmp_path / "compare" / "w1_report.json").read_text())["value"] > 0
+
+    def test_roots_loads_scipy_optimize(self, tmp_path):
+        steps = [None, ["roots", str(CONFIGS / "roots.json"), "--output", "roots"]]
+        assert _import_probe(tmp_path, steps) == [(0, False), (0, True)]
+
+    def test_compare_of_independent_clouds_loads_scipy_optimize(self, tmp_path):
+        project = parse_config((CONFIGS / "project.json").read_text())
+        for name, seed in (("a", 1), ("b", 2)):
+            run(project, output_dir=str(tmp_path / name), seed=seed)
+        assert not _certifies(*(load_snapshot(str(tmp_path / name / "source.json"))
+                                for name in "ab"))
+        steps = [None, ["compare", "a/source.json", "b/source.json", "--output", "compare"]]
+        assert _import_probe(tmp_path, steps) == [(0, False), (0, True)]
+
+    def test_two_lanes_import_the_assignment_at_once(self, tmp_path, monkeypatch):
+        # t_grid holds only the horizon, so the sweep solves two pairs: one on
+        # each lane, and neither certifies. Both lanes' first solves import
+        # scipy.optimize at about the same time
+        import swarmlab.transport as transport
+
+        doc = {**SWEEP_16, "init": {**SWEEP_16["init"], "n": 128},
+               "sweep": {"eps_list": [1.0, 0.5], "t_grid": [1.0]}}
+        (tmp_path / "sweep.json").write_text(json.dumps(doc))
+        pairs, solve = [], transport.w1_exact
+
+        def recording(a, b):
+            pairs.append((a, b))
+            return solve(a, b)
+
+        monkeypatch.setattr(transport, "w1_exact", recording)
+        monkeypatch.setenv("SWARM_THREADS", "1")
+        run(parse_config(json.dumps(doc)), output_dir=str(tmp_path / "one"))
+        assert len(pairs) == 2 and not any(_certifies(*pair) for pair in pairs)
+
+        steps = [None, ["sweep", "sweep.json", "--output", "two"]]
+        assert _import_probe(tmp_path, steps, SWARM_THREADS="2") == [(0, False), (0, True)]
+        one, two = ((tmp_path / name / "sweep.csv").read_text() for name in ("one", "two"))
+        assert _without_runtime(two) == _without_runtime(one)

@@ -18,9 +18,9 @@ from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import ValidationError, ZeroVelocityParticle
 
 from conftest import make_sphere
-from oracles import (PoleSingularity, laplace_beltrami_via_extension, sphere_point_3d,
-                     spherical_divergence_3d, spherical_laplacian_3d, tangent_frame_3d,
-                     zero_hom_laplacian_formula)
+from oracles import (PoleSingularity, laplace_beltrami_via_extension, mobius_alignment,
+                     sphere_point_3d, spherical_divergence_3d, spherical_laplacian_3d,
+                     tangent_frame_3d, zero_hom_laplacian_formula)
 
 ZERO = builtin_kernels("zero_potential")
 CONST = builtin_kernels("constant_weight", {"K": 1.0})
@@ -95,6 +95,57 @@ class TestStepLimit:
             for s in traj.snapshots
         ]
         assert all(b <= a + 1e-12 for a, b in zip(spread, spread[1:]))
+
+
+class TestMobiusAlignment:
+    """Noiseless constant_weight alignment on the circle, the paper's
+    Cucker-Smale-to-Vicsek reduction, has the exact Moebius-family solution
+    of `oracles.mobius_alignment`; on a great circle of the 3-sphere it is the
+    same motion. N = 128 keeps q(T)^N near 1e-24."""
+
+    N, Q0, K, T = 128, 0.3, 1.0, 2.0
+
+    def test_family_solves_the_limit_equation(self):
+        # omega' = K P(J) and x' = omega by central differences, and J = r q(t)
+        h = 1e-5
+        for t in (0.7, 2.0):
+            (dx_m, om_m), (_, om), (dx_p, om_p) = (
+                mobius_alignment(self.N, self.Q0, self.K, 1.0, s) for s in (t - h, t, t + h))
+            mean = om.mean(axis=0)
+            drift = self.K * tangential_projection(np.broadcast_to(mean, om.shape), om)
+            assert np.max(np.abs((om_p - om_m) / (2 * h) - drift)) <= 1e-9
+            assert np.max(np.abs((dx_p - dx_m) / (2 * h) - om)) <= 1e-9
+            grow = self.Q0**2 * math.exp(self.K * t)
+            assert_allclose(mean, [math.sqrt(grow / (1 - self.Q0**2 + grow)), 0.0],
+                            rtol=0, atol=1e-15)
+
+    def test_family_needs_q_power_n_below_rounding(self):
+        with pytest.raises(ValueError, match=r"q\(t\)\^n"):
+            mobius_alignment(16, self.Q0, self.K, 1.0, self.T)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_limit_step_is_first_order(self, d):
+        # measured errors, the same in d = 2 and on the embedded circle:
+        # max_i |omega_i - exact| 1.447e-3, 7.239e-4, 3.620e-4 and max_i
+        # |x_i - exact| 2.713e-3, 1.357e-3, 6.789e-4 at dt 4e-3, 2e-3, 1e-3
+        rng = np.random.default_rng(d)
+        plane = np.linalg.qr(rng.standard_normal((d, d)))[0][:2]  # orthonormal rows
+        x0 = rng.uniform(-1.0, 1.0, (self.N, d))
+        _, omega0 = mobius_alignment(self.N, self.Q0, self.K, 1.0, 0.0)
+        dx, omega = mobius_alignment(self.N, self.Q0, self.K, 1.0, self.T)
+        errors = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            ens = PhaseEnsemble(x=x0, v=omega0 @ plane, w=np.full(self.N, 1.0 / self.N), r=1.0)
+            cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0),
+                            spec=builtin_kernels("constant_weight", {"K": self.K}),
+                            dt=dt, T=self.T, snapshot_stride=round(self.T / dt))
+            end = simulate(ens, cfg).snapshots[-1]
+            errors.append([np.max(np.linalg.norm(end.v - omega @ plane, axis=1)) / dt,
+                           np.max(np.linalg.norm(end.x - x0 - dx @ plane, axis=1)) / dt])
+        errors = np.array(errors)  # error / dt: constant at first order
+        assert np.all((0.355 <= errors[:, 0]) & (errors[:, 0] <= 0.37))
+        assert np.all((0.67 <= errors[:, 1]) & (errors[:, 1] <= 0.69))
+        assert np.all(np.abs(errors[1:] / errors[:-1] - 1.0) <= 0.01)
 
 
 class TestStepLimitDiffusive:

@@ -250,9 +250,12 @@ class TestNearestNeighbourCertificate:
     """Equal uniform counts whose nearest-column map is a permutation take it
     as the plan without a cost matrix or an assignment; others reach LSAP."""
 
+    # _w1_assignment imports linear_sum_assignment when it calls it, so the
+    # patches go on scipy.optimize itself
+
     @pytest.fixture
     def lsap_calls(self, monkeypatch):
-        import swarmlab.transport as transport
+        import scipy.optimize
 
         calls = []
 
@@ -260,18 +263,18 @@ class TestNearestNeighbourCertificate:
             calls.append(cost.shape)
             return linear_sum_assignment(cost)
 
-        monkeypatch.setattr(transport, "linear_sum_assignment", counting)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
         return calls
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("d", [2, 3])
     def test_coupled_clouds_skip_the_assignment(self, n, d, monkeypatch):
-        import swarmlab.transport as transport
+        import scipy.optimize
 
         def no_lsap(cost):
             raise AssertionError("a coupled pair reached linear_sum_assignment")
 
-        monkeypatch.setattr(transport, "linear_sum_assignment", no_lsap)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", no_lsap)
         mu, nu = _coupled(n, d, seed=n + d, noise=1e-3)
         rep = w1_exact(mu, nu)
         value, plan = _dense_assignment(mu, nu)
