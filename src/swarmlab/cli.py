@@ -121,10 +121,6 @@ def _is_number(value) -> bool:
         return False
 
 
-def _is_seed(value) -> bool:  # a seed is a Philox key word, a uint64
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
-
-
 # the least nonzero flow speed whose square is a normal float: once
 # e^(-2 alpha s) underflows, the flow divides v0 by sqrt(|v0|^2), which a
 # subnormal square makes inexact and a square underflowed to 0 makes inf
@@ -136,9 +132,8 @@ _VALUE_KINDS = (
      "model.alpha model.beta model.eps init.L0 init.r0 init.R0 integrator.T roots.A"),
     ("a positive number", lambda v: _is_number(v) and v > 0, "integrator.dt"),
     ("2 or 3", lambda v: isinstance(v, int) and v in (2, 3), "init.dim"),
-    ("an integer in [0, 2**64)", _is_seed, "init.seed"),
-    ("a positive integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
-     "init.n integrator.stride"),
+    ("an integer in [0, 2**64)", noise.is_seed, "init.seed"),
+    ("a positive integer", lambda v: noise.is_int(v, 1, math.inf), "init.n integrator.stride"),
     ("a boolean", lambda v: isinstance(v, bool), "integrator.diffusion"),
     ("a string", lambda v: isinstance(v, str),
      "init.input init.distribution kernels.name compare.file_a compare.file_b output.directory"),
@@ -191,20 +186,23 @@ def _validate(cfg: RunConfig):
         for eps in cfg.roots["eps_list"]:
             check_speed_balance(float(eps), float(cfg.roots["A"]), params)
     if "integrator.T" in reads:
-        _check_whole_steps(float(cfg.integrator.get("T", DEFAULT_T)),
-                           float(cfg.integrator["dt"]))
+        _step_count(cfg.integrator)
 
 
-def _check_whole_steps(T: float, dt: float):
-    """ValidationError unless T/dt is a whole number to a relative 1e-9: a run
-    takes round(T/dt) steps, so any other horizon would end at another time.
-    A T/dt below 1 or past 2**63 is left to SimConfig, which names it."""
+def _step_count(integ: dict, horizon=None) -> int:
+    """Steps of integrator.dt in integrator.T, or in `horizon` rounded to a step.
+    ValidationError if T/dt is not in [1, 2**63), or if integrator.T is not a
+    whole number of steps to a relative 1e-9 (it would end at another time)."""
+    dt = float(integ["dt"])
+    T = float(integ.get("T", DEFAULT_T) if horizon is None else horizon)
     steps = T / dt
-    if not 1.0 <= steps < 2.0**63 or abs(steps - round(steps)) <= 1e-9 * steps:
-        return
-    nearest = " and ".join(f"{k * dt:.12g}" for k in (math.floor(steps), math.ceil(steps)))
-    raise ValidationError(f"integrator.T={T} is not a whole number of steps dt={dt} "
-                          f"(T/dt = {steps!r}); the nearest whole-step horizons are {nearest}")
+    if not 1.0 <= steps < 2.0**63:  # false for inf too
+        raise ValidationError(f"step count T/dt = {steps!r} (T={T}, dt={dt}) is not in [1, 2**63)")
+    if horizon is None and abs(steps - round(steps)) > 1e-9 * steps:
+        nearest = " and ".join(f"{k * dt:.12g}" for k in (math.floor(steps), math.ceil(steps)))
+        raise ValidationError(f"integrator.T={T} is not a whole number of steps dt={dt} "
+                              f"(T/dt = {steps!r}); the nearest whole-step horizons are {nearest}")
+    return round(steps)
 
 
 def _model_params(cfg: RunConfig) -> ModelParams:
@@ -330,13 +328,12 @@ def load_snapshot(path: str) -> PhaseEnsemble:
 # Mode handlers
 # ---------------------------------------------------------------------------
 
-def _run_config(cfg: RunConfig, params, spec, seed, horizon=None) -> SimConfig:
+def _run_config(cfg: RunConfig, params, spec, seed, steps=None) -> SimConfig:
     integ = cfg.integrator
     return SimConfig(
         params=params, spec=spec, dt=float(integ["dt"]),
-        T=float(horizon if horizon is not None else integ.get("T", DEFAULT_T)),
-        snapshot_stride=int(integ["stride"]),
-        diffusion=bool(integ["diffusion"]), rng_seed=seed,
+        steps=_step_count(integ) if steps is None else steps,
+        snapshot_stride=integ["stride"], diffusion=integ["diffusion"], rng_seed=seed,
     )
 
 
@@ -417,9 +414,9 @@ def _mode_sweep(cfg, seed, formats):
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
     eps_list = [float(e) for e in cfg.sweep["eps_list"]]
     t_grid = [float(t) for t in cfg.sweep["t_grid"]]
-    # the one place a t_grid becomes a horizon: its last point, at least a step
+    # a t_grid's horizon is its last point, at least a step, rounded to a step
     base = _run_config(cfg, params, spec, seed,
-                       horizon=max(*t_grid, float(cfg.integrator["dt"])))
+                       _step_count(cfg.integrator, max(*t_grid, float(cfg.integrator["dt"]))))
     rows = ([row["eps"], row["t"], row["w1"], ens.n, seed, row["runtime_ms"]]
             for row in convergence_study(ens, eps_list, t_grid, base))
     yield "sweep.csv", csv_text(["eps", "t", "w1", "n", "seed", "runtime_ms"], rows)
@@ -453,7 +450,7 @@ def run(cfg: RunConfig, output_dir: str | None = None,
         seed: int | None = None) -> RunManifest:
     """Dispatch a validated config and write outputs plus a manifest."""
     seed = int(seed if seed is not None else cfg.init.get("seed", 0))
-    if not _is_seed(seed):
+    if not noise.is_seed(seed):
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed}")
     outdir = Path(output_dir or cfg.output.get("directory", "out"))
     formats = list(cfg.output.get("formats", ["csv"]))

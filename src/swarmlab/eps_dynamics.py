@@ -29,8 +29,8 @@ positions: K + 1 builds for K steps, and each snapshot's interaction energy
 comes with its build. `simulate` alone makes the snapshot ensembles, and turns
 a step that overflows, makes an invalid value or, on the sphere, turns omega
 past `sphere_dynamics.MAX_TURN` into a `Diverged` naming the step and time.
-Which snapshot a time point means is read off the config alone
-(`snapshot_indices`).
+A run is `SimConfig.steps` steps, so it ends on the step grid at T = steps*dt.
+Which snapshot a time point means is read off the config (`snapshot_indices`).
 """
 
 from __future__ import annotations
@@ -51,25 +51,28 @@ from .sphere_dynamics import advance_limit
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters of either regime. The limit step ignores `params.eps`."""
+    """`steps` steps of dt in either regime. The limit step ignores `params.eps`."""
 
     params: ModelParams
     spec: KernelSpec
     dt: float
-    T: float
+    steps: int
     snapshot_stride: int = 100
     diffusion: bool = False
     rng_seed: int = 0
+    T = property(lambda self: self.steps * self.dt, doc="The horizon, steps * dt.")
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.T < self.dt:
-            raise ValidationError(f"horizon T={self.T} shorter than one step dt={self.dt}")
-        if not self.T / self.dt < 2.0**63:   # false for inf and nan too
-            raise ValidationError(f"step count T/dt = {self.T / self.dt} must be below 2**63")
-        if self.snapshot_stride < 1:
-            raise ValidationError(f"snapshot stride must be >= 1, got {self.snapshot_stride}")
+        if not noise.is_int(self.steps, 1, 2**63):
+            raise ValidationError(f"steps must be an integer in [1, 2**63), got {self.steps!r}")
+        if not noise.is_int(self.snapshot_stride, 1, math.inf):
+            raise ValidationError(
+                f"snapshot stride must be a positive integer, got {self.snapshot_stride!r}")
+        if not noise.is_seed(self.rng_seed):
+            raise ValidationError(
+                f"rng_seed must be an integer in [0, 2**64), got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,7 @@ def _advance(x, v, cfg: SimConfig, step_index: int, op: PairOperator):
 def snapshot_steps(cfg: SimConfig) -> list:
     """Step counts after which `simulate` stores a snapshot: 0 (the initial
     state), every `snapshot_stride`-th step, and the last step."""
-    n_steps = int(round(cfg.T / cfg.dt))
-    return [0, *range(cfg.snapshot_stride, n_steps, cfg.snapshot_stride), n_steps]
+    return [0, *range(cfg.snapshot_stride, cfg.steps, cfg.snapshot_stride), cfg.steps]
 
 
 def snapshot_indices(t0: float, cfg: SimConfig, ts) -> list:
@@ -134,7 +136,7 @@ def snapshot_indices(t0: float, cfg: SimConfig, ts) -> list:
 
 
 def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
-    """Push the initial ensemble through round(T/dt) steps, storing snapshots
+    """Push the initial ensemble through `cfg.steps` steps, storing snapshots
     after the step counts of `snapshot_steps`. An ensemble without a radius
     runs the eps system, one with a radius its sphere limit. Snapshot times
     not strictly increasing are rejected before any build."""

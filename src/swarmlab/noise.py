@@ -17,6 +17,16 @@ SPHERE_DYNAMICS = 0x53504844
 INIT_SAMPLING = 0x494E4954
 
 
+def is_int(value, lo, hi) -> bool:
+    """An int, not a bool, in [lo, hi): the rule of a run's counts and keys."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value < hi
+
+
+def is_seed(value) -> bool:
+    """A Philox key word, a uint64."""
+    return is_int(value, 0, 2**64)
+
+
 def generator(seed: int, domain: int, step_index: int = 0) -> np.random.Generator:
     """Generator positioned at the (seed, domain, step) block."""
     bg = np.random.Philox(key=[np.uint64(seed), np.uint64(domain)],

@@ -202,16 +202,16 @@ def _w1_lp(mu, nu):
 
 
 def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> tuple:
-    """Run the stiff system at each eps and the sphere limit once to cfg.T,
-    all from the same initial atoms (the limit starts from the projected
-    measure), and return the rows {eps, t, w1, runtime_ms}, t ascending per
-    eps: W1 between the snapshots `snapshot_indices` gives t. An eps_list not
-    strictly decreasing, a repeated t_grid point, one no snapshot lands
-    within dt/2 of, or atoms past the exact W1 caps are rejected before
-    anything is integrated. The runs [limit, *eps_list], then the distinct
-    snapshot pairs, are mapped over SWARM_THREADS lanes with the caller as
-    one of them (`_lanes_map`); a failing run or solve raises the error of
-    the first in that order, as a serial loop would."""
+    """Run the stiff system at each eps and the sphere limit once for
+    cfg.steps steps, all from the same initial atoms (the limit starts from
+    the projected measure), and return the rows {eps, t, w1, runtime_ms}, t
+    ascending per eps: W1 between the snapshots `snapshot_indices` gives t.
+    An eps_list not strictly decreasing, a repeated t_grid point, one no
+    snapshot lands within dt/2 of, or atoms past the exact W1 caps are
+    rejected before anything is integrated. The runs [limit, *eps_list],
+    then the distinct snapshot pairs, are mapped over SWARM_THREADS lanes
+    with the caller as one of them (`_lanes_map`); a failing run or solve
+    raises the error of the first in that order, as a serial loop would."""
     eps_list = list(eps_list)
     t_grid = sorted(t_grid)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):

@@ -409,6 +409,17 @@ def mobius_alignment(n: int, q0: float, K: float, r: float, t: float):
 # Harnesses over whole runs.
 # ---------------------------------------------------------------------------
 
+def coupling_bound(mu: PhaseEnsemble, nu: PhaseEnsemble) -> float:
+    """sum_i w_i |z_i - z'_i|, the cost of the plan that sends atom i of mu to
+    atom i of nu in the (x, v) norm of `w1_exact`: an upper bound on W1(mu,
+    nu) in O(N), tight for two runs from the same atoms that stay close.
+    Needs equal counts and weights."""
+    if mu.n != nu.n or not np.array_equal(mu.w, nu.w):
+        raise ValueError("the coupling bound needs equal counts and weights")
+    gap = np.hstack([mu.x - nu.x, mu.v - nu.v])
+    return float(np.sum(mu.w * np.linalg.norm(gap, axis=1)))
+
+
 def support_in_band(ens: PhaseEnsemble, lo: float, hi: float) -> bool:
     """True iff every particle speed lies in [lo, hi]."""
     if lo > hi:

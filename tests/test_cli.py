@@ -773,6 +773,36 @@ class TestFailFast:
         rows = (tmp_path / "out" / "moments.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [k * dt for k in range(steps + 1)]
 
+    # a sweep's last t_grid point is rounded to a step (half to even), and
+    # each point reads the first snapshot within dt/2; the rows are the bytes
+    # the sweep wrote when SimConfig still took a float horizon
+    @pytest.mark.parametrize("end,steps,index,w1", [
+        (0.0025, 2, 2, ("0.27882909404338296", "0.2655734674986854")),
+        (0.0035, 4, 3, ("0.27193408454928625", "0.2530890603781091")),
+        (0.0004, 1, 0, ("0.293460628872692", "0.293460628872692")),
+    ])
+    def test_sweep_t_grid_end_off_the_step_grid(self, end, steps, index, w1, tmp_path,
+                                                monkeypatch):
+        import swarmlab.cli as cli
+        from swarmlab.eps_dynamics import snapshot_indices
+
+        study, seen = cli.convergence_study, []
+
+        def recording(f_in, eps_list, t_grid, cfg):
+            seen.append((cfg.steps, snapshot_indices(f_in.time, cfg, t_grid)))
+            return study(f_in, eps_list, t_grid, cfg)
+
+        monkeypatch.setattr(cli, "convergence_study", recording)
+        doc = {**SWEEP_16, "integrator": {"dt": 1e-3, "stride": 1},
+               "sweep": {"eps_list": [0.08, 0.04], "t_grid": [0.0, end]}}
+        assert _main_in(tmp_path, doc) == (0, True)
+        assert seen == [(steps, [0, index])]
+        t0 = "0.293460628872692"
+        assert _without_runtime((tmp_path / "out" / "sweep.csv").read_text()) == "\n".join([
+            "eps,t,w1,n,seed",
+            f"0.08,0.0,{t0},16,7", f"0.08,{end},{w1[0]},16,7",
+            f"0.04,0.0,{t0},16,7", f"0.04,{end},{w1[1]},16,7"])
+
     def test_largest_seed_runs(self, tmp_path):
         assert _main_in(tmp_path, MINIMAL_EPS, "--seed", str(2**64 - 1)) == (0, True)
 

@@ -29,22 +29,45 @@ ZERO = builtin_kernels("zero_potential")
 CS = builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0})
 
 
-def cfgf(params, spec, dt, T, **kw):
-    kw.setdefault("snapshot_stride", max(1, int(round(T / dt))))
-    return SimConfig(params=params, spec=spec, dt=dt, T=T, **kw)
+def cfgf(params, spec, dt, steps, **kw):
+    kw.setdefault("snapshot_stride", steps)
+    return SimConfig(params=params, spec=spec, dt=dt, steps=steps, **kw)
 
 
 class TestConfig:
     def test_invalid_configs_rejected(self):
         p = ModelParams(1, 1, 0.1)
         with pytest.raises(ValidationError):
-            SimConfig(params=p, spec=ZERO, dt=-1e-3, T=1.0)
+            SimConfig(params=p, spec=ZERO, dt=-1e-3, steps=1000)
         with pytest.raises(ValidationError):
-            SimConfig(params=p, spec=ZERO, dt=1e-3, T=1e-4)
-        with pytest.raises(ValidationError):
-            SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0, snapshot_stride=0)
-        with pytest.raises(ValidationError, match="T/dt"):
-            SimConfig(params=p, spec=ZERO, dt=1e-308, T=1e10)
+            SimConfig(params=p, spec=ZERO, dt=1e-3, steps=1000, snapshot_stride=0)
+
+    @pytest.mark.parametrize("steps", [0, -1, 2**63, True, 2.0, 2.5, float("inf"), None])
+    def test_step_count_is_an_integer_in_range(self, steps):
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            SimConfig(params=ModelParams(1, 1, 0.1), spec=ZERO, dt=1e-3, steps=steps)
+
+    def test_largest_step_count_accepted(self):
+        cfg = SimConfig(params=ModelParams(1, 1, 0.1), spec=ZERO, dt=1e-3, steps=2**63 - 1)
+        assert cfg.T == (2**63 - 1) * 1e-3
+
+    @pytest.mark.parametrize("kw,match", [
+        ({"snapshot_stride": 2.5}, "snapshot stride"),   # a TypeError from range in simulate
+        ({"snapshot_stride": True}, "snapshot stride"),  # ran as stride 1
+        ({"rng_seed": -1, "diffusion": True}, "rng_seed"),  # numpy's OverflowError
+        ({"rng_seed": 1.5}, "rng_seed"),                 # ran as seed 1
+    ], ids=["stride-float", "stride-bool", "seed-negative", "seed-float"])
+    def test_other_integers_checked_at_construction(self, kw, match):
+        # each ran or failed inside `simulate` before
+        with pytest.raises(ValidationError, match=match):
+            SimConfig(params=ModelParams(1, 1, 0.1), spec=ZERO, dt=1e-3, steps=2, **kw)
+
+    def test_horizon_is_steps_times_dt(self):
+        cfg = SimConfig(params=ModelParams(1, 1, 0.1), spec=ZERO, dt=1e-3, steps=3,
+                        snapshot_stride=2)
+        assert cfg.T == 3 * 1e-3
+        assert snapshot_steps(cfg) == [0, 2, 3]
+        assert simulate(make_phase(2), cfg).times[-1] == 3 * 1e-3
 
 
 class TestStep:
@@ -52,7 +75,7 @@ class TestStep:
         # no field: speed stays exactly r, position advances r dt per direction
         p = ModelParams(4.0, 1.0, 0.05)  # r = 2
         ens = PhaseEnsemble(x=[[0.0, 0.0]], v=[[2.0, 0.0]], w=[1.0])
-        cfg = cfgf(p, ZERO, dt=1e-2, T=1e-2)
+        cfg = cfgf(p, ZERO, dt=1e-2, steps=1)
         out = simulate(ens, cfg).snapshots[-1]
         assert_allclose(out.v, [[2.0, 0.0]], rtol=0, atol=0)
         assert_allclose(out.x, [[0.02, 0.0]], rtol=0, atol=1e-18)
@@ -60,8 +83,8 @@ class TestStep:
     def test_zero_field_speed_matches_closed_form(self):
         p = ModelParams(1.0, 1.0, 0.05)
         ens = PhaseEnsemble(x=[[0.0, 0.0]], v=[[0.5, 0.0]], w=[1.0])
-        dt, T = 1e-3, 0.4
-        cfg = cfgf(p, ZERO, dt=dt, T=T)
+        T = 0.4
+        cfg = cfgf(p, ZERO, dt=1e-3, steps=400)
         traj = simulate(ens, cfg)
         got = traj.snapshots[-1].v[0]
         expect = free_flow(np.array([0.5, 0.0]), T / p.eps, p)
@@ -91,8 +114,8 @@ class TestStep:
         oracle = PhaseEnsemble(x=sol.y[:4, -1].reshape(2, 2),
                                v=sol.y[4:, -1].reshape(2, 2), w=w)
         gaps = []
-        for dt in (1e-2, 5e-3, 2.5e-3):
-            traj = simulate(ens0, cfgf(p, CS, dt=dt, T=T))
+        for dt, steps in ((1e-2, 50), (5e-3, 100), (2.5e-3, 200)):
+            traj = simulate(ens0, cfgf(p, CS, dt=dt, steps=steps))
             gaps.append(w1_exact(traj.snapshots[-1], oracle).value)
         c2 = gaps[0] / (1e-2) ** 2
         for dt, gap in zip((1e-2, 5e-3, 2.5e-3), gaps):
@@ -131,7 +154,7 @@ class TestSimulate:
         T = 0.5
         # the drift substep integrates the relaxation transient by midpoint
         # quadrature (error ~ dt^2/eps), so hitting 1e-8 needs a small step
-        traj = simulate(ens, cfgf(p, ZERO, dt=2e-5, T=T))
+        traj = simulate(ens, cfgf(p, ZERO, dt=2e-5, steps=25000))
         got = traj.snapshots[-1]
         expect_v = free_flow(v0, T / p.eps, p)
         direction = v0 / np.linalg.norm(v0)
@@ -145,13 +168,13 @@ class TestSimulate:
     def test_mass_exactly_conserved(self):
         p = ModelParams(1.0, 1.0, 0.1)
         ens = make_phase(20, seed=4, weights=np.arange(1, 21) / np.sum(np.arange(1, 21)))
-        traj = simulate(ens, cfgf(p, CS, dt=1e-2, T=0.1))
+        traj = simulate(ens, cfgf(p, CS, dt=1e-2, steps=10))
         for snap in traj.snapshots:
             assert np.array_equal(snap.w, ens.w)
 
     def test_snapshot_times_and_lookup(self):
         p = ModelParams(1.0, 1.0, 0.1)
-        cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=2)
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, steps=10, snapshot_stride=2)
         traj = simulate(make_phase(4), cfg)
         assert traj.times == (0.0,) + tuple((k + 1) * 2e-2 for k in range(5))
         [k] = snapshot_indices(traj.times[0], cfg, [0.06])
@@ -164,7 +187,7 @@ class TestSimulate:
     def test_one_ensemble_per_stored_snapshot(self, limit, monkeypatch):
         # the steps map arrays; only the 5th and 10th of 10 make an ensemble
         f_in = make_sphere(8, seed=2) if limit else make_phase(8, seed=2)
-        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, steps=10,
                         snapshot_stride=5)
         made = []
         post_init = PhaseEnsemble.__post_init__
@@ -190,7 +213,7 @@ class TestSimulate:
 
         monkeypatch.setattr(PairOperator, "build", counting)
         f_in = PhaseEnsemble(x=[[0.0, 0.0]], v=[[1.0, 0.0]], w=[1.0], time=1e20)
-        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-3, T=1e-2,
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-3, steps=10,
                         snapshot_stride=5)
         with pytest.raises(ValidationError, match="strictly increas"):
             simulate(f_in, cfg)
@@ -201,7 +224,7 @@ class TestSimulate:
         l0, big_r = 1.0, 1.5
         ens = make_phase(64, seed=5, speed_lo=0.5, speed_hi=big_r, box=l0 / 2)
         dt = 1e-3
-        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=dt, T=0.5,
+        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=dt, steps=500,
                                        snapshot_stride=50))
         a_sup = max(field_sup(s, CS) for s in traj.snapshots)
         for t, snap in zip(traj.times, traj.snapshots):
@@ -213,7 +236,7 @@ class TestSimulate:
         p = ModelParams(1.0, 1.0, 0.05)
         lo = PhaseEnsemble(x=[[0.0, 0.0]], v=[[0.4, 0.0]], w=[1.0])
         hi = PhaseEnsemble(x=[[0.0, 0.0]], v=[[1.7, 0.0]], w=[1.0])
-        cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, T=0.2, snapshot_stride=10)
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, steps=200, snapshot_stride=10)
         s_lo = [r.speed_max for r in simulate(lo, cfg).moment_reports]
         s_hi = [r.speed_max for r in simulate(hi, cfg).moment_reports]
         assert all(b > a for a, b in zip(s_lo, s_lo[1:]))
@@ -224,14 +247,14 @@ class TestSimulate:
     def test_total_energy_decreases_zero_potential(self):
         p = ModelParams(1.0, 1.0, 1e6)  # relaxation negligible
         ens = make_phase(16, seed=6)
-        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, T=0.3,
+        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, steps=300,
                                        snapshot_stride=30))
         assert all(b <= a + 1e-12 for a, b in zip(traj.energies, traj.energies[1:]))
 
     def test_determinism_bitwise(self):
         p = ModelParams(1.0, 1.0, 0.05)
         ens = make_phase(12, seed=7)
-        cfg = SimConfig(params=p, spec=CS, dt=1e-3, T=0.05,
+        cfg = SimConfig(params=p, spec=CS, dt=1e-3, steps=50,
                         snapshot_stride=10, diffusion=True, rng_seed=99)
         a = simulate(ens, cfg)
         b = simulate(ens, cfg)
@@ -247,7 +270,7 @@ class TestDiffusive:
         n, d = 10000, 2
         v0 = np.tile([1.0, 0.0], (n, 1))
         ens = PhaseEnsemble(x=np.zeros((n, d)), v=v0, w=np.full(n, 1.0 / n))
-        cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, T=1.0,
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, steps=100,
                         snapshot_stride=100, diffusion=True, rng_seed=11)
         traj = simulate(ens, cfg)
         disp = traj.snapshots[-1].v - v0
@@ -259,9 +282,9 @@ class TestDiffusive:
         ens = make_phase(8, seed=8)
         monkeypatch.setattr(noise, "gaussian_increments",
                             lambda seed, dom, k, shape: np.zeros(shape))
-        det = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, T=1e-3)).snapshots[-1]
+        det = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, steps=1)).snapshots[-1]
         sto = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3,
-                                      T=1e-3, diffusion=True)).snapshots[-1]
+                                      steps=1, diffusion=True)).snapshots[-1]
         assert np.array_equal(det.v, sto.v)
         assert np.array_equal(det.x, sto.x)
 
@@ -271,7 +294,7 @@ class TestDiffusive:
         n = 4000
         ens = PhaseEnsemble(x=np.zeros((n, 2)), v=np.tile([1.0, 0.0], (n, 1)),
                             w=np.full(n, 1.0 / n))
-        cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, T=1.0,
+        cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, steps=1000,
                         snapshot_stride=1000, diffusion=True, rng_seed=13)
         traj = simulate(ens, cfg)
         speeds = traj.snapshots[-1].speeds()
@@ -285,7 +308,7 @@ class TestDiffusive:
         p = ModelParams(1.0, 1.0, 0.01)
         dt = 2e-3
         ens = make_phase(64, seed=9, speed_lo=0.5, speed_hi=1.5)
-        cfg = SimConfig(params=p, spec=CS, dt=dt, T=0.5, snapshot_stride=25)
+        cfg = SimConfig(params=p, spec=CS, dt=dt, steps=250, snapshot_stride=25)
         traj = simulate(ens, cfg)
         a_sup = max(field_sup(s, CS) for s in traj.snapshots)
         lo = solve_roots(p.eps, -a_sup, p)
@@ -314,7 +337,7 @@ class TestMeasuredOrder:
     DTS = (4e-3, 2e-3, 1e-3)
 
     def final(self, ens, dt):
-        cfg = SimConfig(params=self.P, spec=self.SPEC, dt=dt, T=0.5,
+        cfg = SimConfig(params=self.P, spec=self.SPEC, dt=dt, steps=round(0.5 / dt),
                         snapshot_stride=10**6)
         return simulate(ens, cfg).snapshots[-1]
 

@@ -23,7 +23,7 @@ SPEC = compose_kernels(
                     {"C_A": 0.5, "l_A": 1.0, "C_R": 0.3, "l_R": 0.5}),
     builtin_kernels("cucker_smale_weight", {"K": 1.0, "gamma": 1.0}),
 )
-CFG = SimConfig(params=ModelParams(1.0, 1.0, 0.05), spec=SPEC, dt=1e-2, T=0.1,
+CFG = SimConfig(params=ModelParams(1.0, 1.0, 0.05), spec=SPEC, dt=1e-2, steps=10,
                 snapshot_stride=5)
 
 SEEDS = st.integers(0, 2**32 - 1)

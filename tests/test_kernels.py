@@ -291,7 +291,7 @@ def _stride_2_run(limit):
     ens = make_phase(16, seed=9)
     return simulate(project_measure(ens, p.r) if limit else ens,
                     SimConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
-                              T=K_STEPS * 1e-2, snapshot_stride=2, diffusion=limit))
+                              steps=K_STEPS, snapshot_stride=2, diffusion=limit))
 
 
 class TestPairOperator:

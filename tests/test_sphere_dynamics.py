@@ -54,7 +54,7 @@ class TestStepLimit:
     def test_zero_field_straight_lines(self):
         ens = make_sphere(8, d=2, r=1.5, seed=2)
         cfg = SimConfig(params=ModelParams(2.25, 1.0, 1.0), spec=ZERO,
-                        dt=0.01, T=0.01)
+                        dt=0.01, steps=1)
         out = simulate(ens, cfg).snapshots[-1]
         assert_allclose(out.v, ens.v, rtol=0, atol=0)
         assert_allclose(out.x, ens.x + 0.01 * ens.v, rtol=0, atol=0)
@@ -62,7 +62,7 @@ class TestStepLimit:
     def test_speed_conservation(self):
         ens = make_sphere(64, d=3, r=1.2, seed=3)
         cfg = SimConfig(params=ModelParams(1.44, 1.0, 1.0), spec=CONST,
-                        dt=0.01, T=1.0, snapshot_stride=10)
+                        dt=0.01, steps=100, snapshot_stride=10)
         traj = simulate(ens, cfg)
         for snap in traj.snapshots:
             assert np.max(np.abs(snap.speeds() - 1.2)) <= 1e-14 * 1.2
@@ -76,7 +76,7 @@ class TestStepLimit:
         ens = PhaseEnsemble(x=rng.normal(size=(n, 2)), v=omega,
                             w=np.full(n, 1.0 / n), r=1.0)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                        dt=0.01, T=20.0, snapshot_stride=100)
+                        dt=0.01, steps=2000, snapshot_stride=100)
         traj = simulate(ens, cfg)
         cv = [1.0 - np.linalg.norm(np.sum(s.w[:, None] * s.v, axis=0))
               for s in traj.snapshots]
@@ -86,7 +86,7 @@ class TestStepLimit:
     def test_pair_spread_nonincreasing(self):
         ens = make_sphere(32, d=2, r=1.0, seed=4)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                        dt=0.01, T=2.0, snapshot_stride=10)
+                        dt=0.01, steps=200, snapshot_stride=10)
         traj = simulate(ens, cfg)
         spread = [
             float(np.sum(s.w[:, None] * s.w[None, :]
@@ -134,11 +134,11 @@ class TestMobiusAlignment:
         _, omega0 = mobius_alignment(self.N, self.Q0, self.K, 1.0, 0.0)
         dx, omega = mobius_alignment(self.N, self.Q0, self.K, 1.0, self.T)
         errors = []
-        for dt in (4e-3, 2e-3, 1e-3):
+        for dt, steps in ((4e-3, 500), (2e-3, 1000), (1e-3, 2000)):  # to T = 2
             ens = PhaseEnsemble(x=x0, v=omega0 @ plane, w=np.full(self.N, 1.0 / self.N), r=1.0)
             cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0),
                             spec=builtin_kernels("constant_weight", {"K": self.K}),
-                            dt=dt, T=self.T, snapshot_stride=round(self.T / dt))
+                            dt=dt, steps=steps, snapshot_stride=steps)
             end = simulate(ens, cfg).snapshots[-1]
             errors.append([np.max(np.linalg.norm(end.v - omega @ plane, axis=1)) / dt,
                            np.max(np.linalg.norm(end.x - x0 - dx @ plane, axis=1)) / dt])
@@ -154,9 +154,9 @@ class TestStepLimitDiffusive:
         monkeypatch.setattr(noise, "gaussian_increments",
                             lambda seed, dom, k, shape: np.zeros(shape))
         cfg_d = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                          dt=0.01, T=0.01, diffusion=True)
+                          dt=0.01, steps=1, diffusion=True)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
-                        dt=0.01, T=0.01)
+                        dt=0.01, steps=1)
         a = simulate(ens, cfg_d).snapshots[-1]
         b = simulate(ens, cfg).snapshots[-1]
         assert np.array_equal(a.v, b.v)
@@ -169,7 +169,7 @@ class TestStepLimitDiffusive:
         ens = PhaseEnsemble(x=np.zeros((n, 3)), v=np.tile([0, 0, r], (n, 1)),
                             w=np.full(n, 1.0 / n), r=r)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
-                        dt=2e-3, T=5.0, snapshot_stride=2500,
+                        dt=2e-3, steps=2500, snapshot_stride=2500,
                         diffusion=True, rng_seed=21)
         traj = simulate(ens, cfg)
         first_moment = np.linalg.norm(
@@ -183,7 +183,7 @@ class TestStepLimitDiffusive:
         ens = PhaseEnsemble(x=np.zeros((n, 3)), v=np.tile([0, 0, r], (n, 1)),
                             w=np.full(n, 1.0 / n), r=r)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
-                        dt=2e-3, T=1.0, snapshot_stride=50,
+                        dt=2e-3, steps=500, snapshot_stride=50,
                         diffusion=True, rng_seed=7)
         traj = simulate(ens, cfg)
         ts = np.array(traj.times)

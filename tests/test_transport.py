@@ -312,7 +312,7 @@ class TestConvergenceStudy:
         params = ModelParams(1.0, 1.0, 0.1)
         ens = make_sphere(16, d=2, r=1.0, seed=11)
         f_in = PhaseEnsemble(x=ens.x, v=ens.v, w=ens.w)
-        cfg = SimConfig(params=params, spec=CS, dt=1e-2, T=0.2,
+        cfg = SimConfig(params=params, spec=CS, dt=1e-2, steps=20,
                         snapshot_stride=10, rng_seed=1)
         rows = convergence_study(f_in, [0.1, 0.05], [0.0, 0.2], cfg)
         w1 = {(row["eps"], row["t"]): row["w1"] for row in rows}
@@ -325,7 +325,7 @@ class TestConvergenceStudy:
     def test_eps_order_enforced(self):
         params = ModelParams(1.0, 1.0, 0.1)
         f_in = make_phase(8, seed=12)
-        cfg = SimConfig(params=params, spec=CS, dt=1e-2, T=0.1, rng_seed=1)
+        cfg = SimConfig(params=params, spec=CS, dt=1e-2, steps=10, rng_seed=1)
         with pytest.raises(ValidationError):
             convergence_study(f_in, [0.05, 0.1], [0.1], cfg)
 
@@ -337,7 +337,7 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr(transport, "simulate", no_run)
         params = ModelParams(1.0, 1.0, 0.1)
-        cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=0.2,
+        cfg = SimConfig(params=params, spec=CS, dt=1e-3, steps=200,
                         snapshot_stride=100, rng_seed=1)
         # snapshots land at 0, 0.1 and 0.2; 0.05 is 0.05 away from each
         with pytest.raises(ValidationError, match="t_grid"):
@@ -350,7 +350,7 @@ class TestConvergenceStudy:
             raise AssertionError("simulate ran before the W1 size check")
 
         monkeypatch.setattr(transport, "simulate", no_run)
-        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, steps=10,
                         snapshot_stride=10, rng_seed=1)
         with pytest.raises(TooLarge, match="EXACT_CAP"):
             convergence_study(make_phase(2049, seed=12), [0.1, 0.05], [0.0, 0.1], cfg)
@@ -361,14 +361,14 @@ class TestConvergenceStudy:
         horizons = []
 
         def recording(f_in, cfg):
-            horizons.append(cfg.T)
+            horizons.append(cfg.steps)
             return simulate(f_in, cfg)
 
         monkeypatch.setattr(transport, "simulate", recording)
-        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=1.0,
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, steps=100,
                         snapshot_stride=10, rng_seed=1)
         rows = convergence_study(make_phase(8, seed=12), [0.1, 0.05], [0.0, 0.1], cfg)
-        assert horizons == [1.0, 1.0, 1.0]
+        assert horizons == [100, 100, 100]
         assert len(rows) == 4
 
     def test_each_distinct_snapshot_pair_is_solved_once(self, monkeypatch):
@@ -381,7 +381,7 @@ class TestConvergenceStudy:
             return w1_exact(mu, nu)
 
         monkeypatch.setattr(transport, "w1_exact", counting)
-        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, steps=10,
                         snapshot_stride=10, rng_seed=1)
         f_in = make_phase(8, seed=12)
         rows = convergence_study(f_in, [0.1, 0.05, 0.02], [0.0, 0.1], cfg)
@@ -396,7 +396,7 @@ class TestConvergenceStudy:
 class TestStudyLanes:
     """convergence_study's runs and W1 solves on SWARM_THREADS lanes."""
 
-    CFG = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, T=0.1,
+    CFG = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, steps=10,
                     snapshot_stride=10, rng_seed=1)
 
     @staticmethod
@@ -510,7 +510,7 @@ class TestEquicontinuityProbe:
         r = 1.5
         params = ModelParams(2.25, 1.0, 1.0)
         ens = make_sphere(12, d=2, r=r, seed=13, box=4.0)
-        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.2,
+        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, steps=20,
                         snapshot_stride=5)
         traj = simulate(ens, cfg)
         for (t, s) in [(0.0, 0.05), (0.05, 0.15), (0.0, 0.1)]:
@@ -520,14 +520,14 @@ class TestEquicontinuityProbe:
 
     def test_identical_times_rejected(self):
         params = ModelParams(1.0, 1.0, 0.1)
-        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=5)
+        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, steps=10, snapshot_stride=5)
         traj = simulate(make_phase(6, seed=14), cfg)
         with pytest.raises(ValidationError):
             equicontinuity_probe(traj, cfg, [(0.0, 0.0)])
 
     def test_empty_pair_list_rejected(self):
         params = ModelParams(1.0, 1.0, 0.1)
-        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, T=0.1, snapshot_stride=5)
+        cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, steps=10, snapshot_stride=5)
         traj = simulate(make_phase(6, seed=14), cfg)
         with pytest.raises(ValidationError, match="pair list is empty"):
             equicontinuity_probe(traj, cfg, [])
@@ -536,7 +536,7 @@ class TestEquicontinuityProbe:
         params = ModelParams(1.0, 1.0, 0.05)
         sph = make_sphere(32, d=2, r=1.0, seed=15)
         f_in = PhaseEnsemble(x=sph.x, v=sph.v, w=sph.w)
-        cfg = SimConfig(params=params, spec=CS, dt=1e-3, T=0.5,
+        cfg = SimConfig(params=params, spec=CS, dt=1e-3, steps=500,
                         snapshot_stride=100)
         traj = simulate(f_in, cfg)
         times = traj.times
