@@ -14,7 +14,7 @@ from .core import (
     moments,
     project_measure,
 )
-from .eps_dynamics import SimConfig, Trajectory, simulate
+from .eps_dynamics import SimConfig, simulate
 from .kernels import KernelSpec, builtin_kernels, compose_kernels
 from .relaxation import (
     RootTriple,

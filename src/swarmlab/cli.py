@@ -32,6 +32,7 @@ from .core import (
     ensemble_to_csv,
     ensemble_to_json,
     format_particles,
+    moments,
     project_measure,
 )
 from .eps_dynamics import SimConfig, simulate
@@ -304,16 +305,6 @@ def _snapshot_files(named, formats):
                 yield f"{stem}.{fmt}", write(table)
 
 
-def _moments_csv(traj) -> str:
-    d = traj.snapshots[0].dim
-    cols = ["t", "mass"] + [f"momentum_{k+1}" for k in range(d)] + \
-        ["kinetic", "total_energy", "speed_min", "speed_max"]
-    rows = ([float(t), rep.mass, *rep.momentum.tolist(), rep.kinetic_energy, energy,
-             rep.speed_min, rep.speed_max]
-            for t, rep, energy in zip(traj.times, traj.moment_reports, traj.energies))
-    return csv_text(cols, rows)
-
-
 def load_snapshot(path: str) -> PhaseEnsemble:
     """Read a snapshot file (JSON preferred: CSV carries no sphere radius);
     a file that does not parse to a valid ensemble raises ParseError naming it."""
@@ -340,18 +331,23 @@ def _run_config(cfg: RunConfig, params, spec, seed, steps=None) -> SimConfig:
 def _mode_simulate(cfg, seed, formats):
     """simulate-eps runs the sampled ensemble, simulate-limit its projection
     onto the speed sphere; `simulate` picks the step from the ensemble's
-    radius."""
+    radius. Each snapshot's files are yielded as it arrives, moments.csv last."""
     limit = cfg.mode == "simulate-limit"
     params = _model_params(cfg)
     spec = _kernel_spec(cfg)
     ens = build_initial_ensemble({**cfg.init, "seed": seed}, params)
     if limit:
         ens = project_measure(ens, params.r)
-    traj = simulate(ens, _run_config(cfg, params, spec, seed))
     prefix = "snap_limit" if limit else "snap_eps"
-    for k, snap in enumerate(traj.snapshots):  # one snapshot's strings at a time
+    rows = []
+    for k, (snap, pair_energy) in enumerate(simulate(ens, _run_config(cfg, params, spec, seed))):
         yield from _snapshot_files([(f"{prefix}_{k:05d}", snap)], formats)
-    yield "moments.csv", _moments_csv(traj)
+        rep = moments(snap)
+        rows.append([float(snap.time), rep.mass, *rep.momentum.tolist(), rep.kinetic_energy,
+                     rep.kinetic_energy + pair_energy, rep.speed_min, rep.speed_max])
+    cols = ["t", "mass", *(f"momentum_{k+1}" for k in range(ens.dim)),
+            "kinetic", "total_energy", "speed_min", "speed_max"]
+    yield "moments.csv", csv_text(cols, rows)
 
 
 def _mode_project(cfg, seed, formats):
@@ -448,26 +444,38 @@ MODES = {
 
 def run(cfg: RunConfig, output_dir: str | None = None,
         seed: int | None = None) -> RunManifest:
-    """Dispatch a validated config and write outputs plus a manifest."""
+    """Dispatch a validated config and write each output as the mode yields
+    it, under a hidden temporary name, then a manifest; only a run that ends
+    moves its files into place, and a run that raises removes what it wrote."""
     seed = int(seed if seed is not None else cfg.init.get("seed", 0))
     if not noise.is_seed(seed):
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed}")
     outdir = Path(output_dir or cfg.output.get("directory", "out"))
     formats = list(cfg.output.get("formats", ["csv"]))
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    files: list = []
-    for name, text in MODES[cfg.mode][0](cfg, seed, formats):
-        if not files:
-            outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / name
-        path.write_text(text)
-        files.append(str(path))
-    finished = time.strftime("%Y-%m-%dT%H:%M:%S")
-    digest = config_hash({**cfg.as_dict(), "seed": seed})
-    manifest = RunManifest(config_hash=digest, seed=seed, version=__version__,
-                           started=started, finished=finished, files=tuple(files))
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").write_text(json.dumps(asdict(manifest), indent=1))
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
+    parts: dict = {}  # each output's path -> its temporary file, listed before the write
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in MODES[cfg.mode][0](cfg, seed, formats):
+            parts[outdir / name] = part = outdir / f".{name}.part"
+            part.write_text(text)
+        finished = time.strftime("%Y-%m-%dT%H:%M:%S")
+        digest = config_hash({**cfg.as_dict(), "seed": seed})
+        manifest = RunManifest(config_hash=digest, seed=seed, version=__version__,
+                               started=started, finished=finished,
+                               files=tuple(map(str, parts)))
+        parts[outdir / "manifest.json"] = part = outdir / ".manifest.json.part"
+        part.write_text(json.dumps(asdict(manifest), indent=1))
+        for path, part in parts.items():  # an earlier run's files stay until here
+            part.replace(path)
+    except BaseException:  # a failed run leaves no output behind
+        for part in parts.values():
+            part.unlink(missing_ok=True)
+        for directory in made:
+            if directory.exists():
+                directory.rmdir()
+        raise
     return manifest
 
 

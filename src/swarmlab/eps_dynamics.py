@@ -26,11 +26,13 @@ splitting step above, one with a radius r (speeds fixed at r) the limit step
 of `sphere_dynamics`. Either step maps (x, v) to (x, v), taking one
 PairOperator built at its start positions and leaving it built at its end
 positions: K + 1 builds for K steps, and each snapshot's interaction energy
-comes with its build. `simulate` alone makes the snapshot ensembles, and turns
-a step that overflows, makes an invalid value or, on the sphere, turns omega
-past `sphere_dynamics.MAX_TURN` into a `Diverged` naming the step and time.
-A run is `SimConfig.steps` steps, so it ends on the step grid at T = steps*dt.
-Which snapshot a time point means is read off the config (`snapshot_indices`).
+comes with its build. `simulate` yields each stored snapshot and its energy
+as the run reaches it and keeps none, and it alone makes snapshot ensembles.
+It turns a step that overflows, makes an invalid value or, on the sphere,
+turns omega past `sphere_dynamics.MAX_TURN` into a `Diverged` naming the step
+and time. A run is `SimConfig.steps` steps, so it ends on the step grid at
+T = steps*dt. Which snapshot a time point means is read off the config
+(`snapshot_indices`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from . import noise
-from .core import ModelParams, PhaseEnsemble, moments
+from .core import ModelParams, PhaseEnsemble
 from .errors import Diverged, ValidationError
 from .kernels import KernelSpec, PairOperator
 from .relaxation import free_flow
@@ -70,19 +72,11 @@ class SimConfig:
         if not noise.is_int(self.snapshot_stride, 1, math.inf):
             raise ValidationError(
                 f"snapshot stride must be a positive integer, got {self.snapshot_stride!r}")
+        if not isinstance(self.diffusion, bool):  # its truth value switches the noise on
+            raise ValidationError(f"diffusion must be a bool, got {self.diffusion!r}")
         if not noise.is_seed(self.rng_seed):
             raise ValidationError(
                 f"rng_seed must be an integer in [0, 2**64), got {self.rng_seed!r}")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered snapshots with per-snapshot moments and total energy."""
-
-    times: tuple
-    snapshots: tuple
-    moment_reports: tuple
-    energies: tuple
 
 
 def _kick(op, v, tau, shot=None):
@@ -135,20 +129,21 @@ def snapshot_indices(t0: float, cfg: SimConfig, ts) -> list:
     return found
 
 
-def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
-    """Push the initial ensemble through `cfg.steps` steps, storing snapshots
-    after the step counts of `snapshot_steps`. An ensemble without a radius
-    runs the eps system, one with a radius its sphere limit. Snapshot times
-    not strictly increasing are rejected before any build."""
+def simulate(f_in: PhaseEnsemble, cfg: SimConfig):
+    """Push the initial ensemble through `cfg.steps` steps, yielding
+    (snapshot, pair energy) after each step count of `snapshot_steps`, f_in
+    itself first. An ensemble without a radius runs the eps system, one with
+    a radius its sphere limit. Snapshot times not strictly increasing are
+    rejected at the first item, before any build."""
     stored = {k: f_in.time + k * cfg.dt for k in snapshot_steps(cfg)}
     times = list(stored.values())
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValidationError(f"snapshot times {f_in.time} + k*{cfg.dt} must strictly increase")
     advance = _advance if f_in.r is None else partial(advance_limit, r=f_in.r)
     op = PairOperator(f_in.w, cfg.spec).build(f_in.x)
-    snaps, pair_energies = [f_in], [op.energy]
+    yield f_in, op.energy
     x, v = f_in.x, f_in.v
-    for k in range(1, max(stored) + 1):
+    for k in range(1, cfg.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 x, v = advance(x, v, cfg, k - 1, op)
@@ -156,10 +151,4 @@ def simulate(f_in: PhaseEnsemble, cfg: SimConfig) -> Trajectory:
             # free_flow's non-finite |v|^2; the limit step's turn bound
             raise Diverged(f"run diverged in step {k} (t={f_in.time + k * cfg.dt}): {exc}") from exc
         if k in stored:
-            snaps.append(PhaseEnsemble(x, v, f_in.w, stored[k], f_in.r))
-            pair_energies.append(op.energy)
-    reports = [moments(snap) for snap in snaps]
-    energies = [rep.kinetic_energy + e for rep, e in zip(reports, pair_energies)]
-    return Trajectory(times=tuple(snap.time for snap in snaps),
-                      snapshots=tuple(snaps), moment_reports=tuple(reports),
-                      energies=tuple(energies))
+            yield PhaseEnsemble(x, v, f_in.w, stored[k], f_in.r), op.energy

@@ -8,9 +8,9 @@ correction O(dt^2)); with diffusion it projects an ambient sqrt(2)-Gaussian
 increment the same way, which realizes the intrinsic sphere Laplacian as its
 weak generator (validated by the degree-1 eigenvalue test in the suite). The
 step maps the arrays (x, v) to (x, v); runs go through `eps_dynamics.simulate`
-as eps runs do, one build and one matvec a step, and `simulate` alone makes
-the snapshot ensembles and turns a diverged step into `Diverged`. A step
-whose drift would turn omega past `MAX_TURN` is a diverged step too.
+as eps runs do, one build and one matvec a step. `simulate` alone makes the
+snapshot ensembles, yields each as the run reaches it, and turns a diverged
+step into `Diverged`; a drift that would turn omega past `MAX_TURN` is one.
 
 The dynamics runs in Cartesian components and never touches a chart; the 3D
 chart angles of `spherical_coords_3d` only label sphere snapshots. The

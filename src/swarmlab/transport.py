@@ -209,9 +209,10 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> tuple:
     An eps_list not strictly decreasing, a repeated t_grid point, one no
     snapshot lands within dt/2 of, or atoms past the exact W1 caps are
     rejected before anything is integrated. The runs [limit, *eps_list],
-    then the distinct snapshot pairs, are mapped over SWARM_THREADS lanes
-    with the caller as one of them (`_lanes_map`); a failing run or solve
-    raises the error of the first in that order, as a serial loop would."""
+    each keeping of what `simulate` yields only its t_grid snapshots, then
+    the distinct snapshot pairs, are mapped over SWARM_THREADS lanes with the
+    caller as one of them (`_lanes_map`); a failing run or solve raises the
+    error of the first in that order, as a serial loop would."""
     eps_list = list(eps_list)
     t_grid = sorted(t_grid)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -225,10 +226,11 @@ def convergence_study(f_in, eps_list, t_grid, cfg: SimConfig) -> tuple:
     exact_solver(f_in.w, f_in.w)  # every W1 pair has f_in's atom count and weights
     runs = [(project_measure(f_in, cfg.params.r), cfg)]
     runs += [(f_in, replace(cfg, params=replace(cfg.params, eps=eps))) for eps in eps_list]
-    lim_traj, *trajs = _lanes_map(lambda run: simulate(*run), runs)
+    lim_snaps, *eps_snaps = _lanes_map(
+        lambda run: {k: snap for k, (snap, _) in enumerate(simulate(*run)) if k in ks}, runs)
 
-    cells = [(eps, t, traj.snapshots[k], lim_traj.snapshots[k])
-             for eps, traj in zip(eps_list, trajs) for t, k in zip(t_grid, ks)]
+    cells = [(eps, t, snaps[k], lim_snaps[k])
+             for eps, snaps in zip(eps_list, eps_snaps) for t, k in zip(t_grid, ks)]
     # every eps run stores f_in itself as its first snapshot, so the rows at
     # t = f_in.time compare one pair: solve each distinct pair once
     pairs = {(id(a), id(b)): (a, b) for _, _, a, b in cells}

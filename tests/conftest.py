@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmlab import PhaseEnsemble
+from swarmlab import PhaseEnsemble, simulate
 from swarmlab.kernels import PairOperator
 
 
@@ -26,6 +26,11 @@ def make_sphere(n, d=2, r=1.0, seed=0, box=1.0):
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return PhaseEnsemble(x=x, v=r * dirs, w=np.full(n, 1.0 / n), r=r)
+
+
+def snapshots(f_in, cfg) -> list:
+    """Every snapshot `simulate` yields for the run, in order, without its energy."""
+    return [snap for snap, _ in simulate(f_in, cfg)]
 
 
 def field(ens, spec):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from swarmlab.core import ModelParams, PhaseEnsemble
+from swarmlab.core import ModelParams, PhaseEnsemble, moments
 from swarmlab.eps_dynamics import snapshot_indices
 from swarmlab.errors import ValidationError, ZeroVelocityParticle
 from swarmlab.relaxation import free_flow, solve_roots
@@ -436,9 +436,9 @@ class EquicontinuityReport:
     n_pairs: int
 
 
-def equicontinuity_probe(trajectory, cfg, t_pairs) -> EquicontinuityReport:
+def equicontinuity_probe(snaps, cfg, t_pairs) -> EquicontinuityReport:
     """Empirical Lipschitz ratio sup W1(f(t), f(s)) / |t - s| over the given
-    pairs of a trajectory `simulate` ran under cfg, reported against the
+    pairs of the snapshots `simulate` yielded under cfg, reported against the
     constant assembled from the measured field amplitude:
     A + beta (r + R0) R0 max((rho3 - r)/eps, (r - rho2)/eps) + R0."""
     ratios = []
@@ -449,13 +449,13 @@ def equicontinuity_probe(trajectory, cfg, t_pairs) -> EquicontinuityReport:
     for (t, s) in pairs:
         if t == s:
             raise ValidationError("equicontinuity ratio needs t != s")
-        k_t, k_s = snapshot_indices(trajectory.times[0], cfg, [t, s])
-        rep = w1_exact(trajectory.snapshots[k_t], trajectory.snapshots[k_s])
+        k_t, k_s = snapshot_indices(snaps[0].time, cfg, [t, s])
+        rep = w1_exact(snaps[k_t], snaps[k_s])
         ratios.append(rep.value / abs(t - s))
     k = int(np.argmax(ratios))
     p = cfg.params
-    a_meas = max(field_sup(s, cfg.spec) for s in trajectory.snapshots)
-    r0_meas = max(rep.speed_max for rep in trajectory.moment_reports)
+    a_meas = max(field_sup(s, cfg.spec) for s in snaps)
+    r0_meas = max(moments(s).speed_max for s in snaps)
     low = solve_roots(p.eps, -a_meas, p) if a_meas > 0 else None
     high = solve_roots(p.eps, a_meas, p) if a_meas > 0 else None
     if a_meas == 0.0:

@@ -21,7 +21,7 @@ from swarmlab.cli import build_initial_ensemble, parse_config, run
 from swarmlab.eps_dynamics import SimConfig
 from swarmlab.kernels import compose_kernels
 
-from conftest import field, field_sup, make_phase
+from conftest import field, field_sup, make_phase, snapshots
 from oracles import (adjoint_potential, adjoint_sup_bound, align_weight, coupling_bound,
                      equicontinuity_probe, laplace_beltrami_via_extension, sphere_point_3d,
                      spherical_laplacian_3d, support_in_band, trapping_time_bounds,
@@ -99,13 +99,13 @@ def test_criterion_03_trapping():
         {"n": 256, "dim": 2, "L0": 1.0, "distribution": "on_sphere", "seed": 5}, P11)
     cfg = SimConfig(params=P11, spec=GAUSS_CS, dt=dt, steps=400,
                     snapshot_stride=20, rng_seed=5)
-    traj = sl.simulate(ens, cfg)
-    a_sup = max(field_sup(s, GAUSS_CS) for s in traj.snapshots)
+    snaps = snapshots(ens, cfg)
+    a_sup = max(field_sup(s, GAUSS_CS) for s in snaps)
     assert P11.eps * a_sup < 2.0 / (3.0 * math.sqrt(3.0))
     lo = sl.solve_roots(P11.eps, -a_sup, P11)
     hi = sl.solve_roots(P11.eps, a_sup, P11)
     stay = all(support_in_band(s, lo.rho2 - 2 * dt, hi.rho3 + 2 * dt)
-               for s in traj.snapshots)
+               for s in snaps)
     assert stay
     # (b) initialized in [r0, R0]: enters the eps-widened band by t1 + t2
     r0, big_r = 0.5, 1.5
@@ -114,15 +114,15 @@ def test_criterion_03_trapping():
          "distribution": "uniform_annulus", "seed": 6}, P11)
     cfg2 = SimConfig(params=P11, spec=GAUSS_CS, dt=dt, steps=40,
                      snapshot_stride=1, rng_seed=6)
-    traj2 = sl.simulate(ens2, cfg2)
-    a2 = max(field_sup(s, GAUSS_CS) for s in traj2.snapshots)
+    snaps2 = snapshots(ens2, cfg2)
+    a2 = max(field_sup(s, GAUSS_CS) for s in snaps2)
     lo2 = sl.solve_roots(P11.eps, -a2, P11)
     hi2 = sl.solve_roots(P11.eps, a2, P11)
     t1, t2 = trapping_time_bounds(r0, big_r, P11.eps, P11)
     in_band = [support_in_band(s, lo2.rho2 - P11.eps - 2 * dt,
                                hi2.rho3 + P11.eps + 2 * dt)
-               for s in traj2.snapshots]
-    entry = next(t for t, ok in zip(traj2.times, in_band) if ok)
+               for s in snaps2]
+    entry = next(s.time for s, ok in zip(snaps2, in_band) if ok)
     assert entry <= t1 + t2 + 2 * dt
     assert all(in_band[in_band.index(True):])
     _report("criterion 3 (trapping)", time.perf_counter() - tic, 30.0,
@@ -237,7 +237,7 @@ def test_w1_gap_is_first_order_in_eps():
         cfg = SimConfig(params=params, spec=spec, dt=dt, steps=steps, snapshot_stride=steps)
         runs = [(sl.project_measure(ens, params.r), cfg)]
         runs += [(ens, replace(cfg, params=replace(params, eps=eps))) for eps in eps_list]
-        ends.append([sl.simulate(*run).snapshots[-1] for run in runs])
+        ends.append([snapshots(*run)[-1] for run in runs])
     w1 = [[sl.w1_exact(end, lim).value for end in eps_ends] for lim, *eps_ends in ends]
     lines = []
     for k, eps in enumerate(eps_list):
@@ -261,9 +261,9 @@ def test_criterion_08_equicontinuity():
         params)
     cfg = SimConfig(params=params, spec=CS, dt=5e-3, steps=400,
                     snapshot_stride=40, rng_seed=8)
-    traj = sl.simulate(ens, cfg)
-    pairs = [(a, b) for a, b in itertools.combinations(traj.times, 2)]
-    rep = equicontinuity_probe(traj, cfg, pairs)
+    snaps = snapshots(ens, cfg)
+    pairs = [(a.time, b.time) for a, b in itertools.combinations(snaps, 2)]
+    rep = equicontinuity_probe(snaps, cfg, pairs)
     assert np.isfinite(rep.bound_constant)
     assert rep.max_ratio <= rep.bound_constant
     _report("criterion 8 (equicontinuity)", time.perf_counter() - tic, 120.0,
@@ -319,14 +319,13 @@ def test_criterion_10_sphere_diffusion_generator():
                     spec=sl.builtin_kernels("zero_potential"),
                     dt=2e-3, steps=2500, snapshot_stride=25,  # t = 5 r^2
                     diffusion=True, rng_seed=10)
-    traj = sl.simulate(ens, cfg)
-    ts = np.array(traj.times)
-    m3 = np.array([float(np.sum(s.w * s.v[:, 2])) for s in traj.snapshots])
+    snaps = snapshots(ens, cfg)
+    ts = np.array([s.time for s in snaps])
+    m3 = np.array([float(np.sum(s.w * s.v[:, 2])) for s in snaps])
     mask = m3 > 0.1 * r
     rate = -np.polyfit(ts[mask], np.log(m3[mask] / r), 1)[0]
     assert rate == pytest.approx(2.0 / r**2, rel=0.10)
-    final = np.linalg.norm(np.sum(traj.snapshots[-1].w[:, None]
-                                  * traj.snapshots[-1].v, axis=0))
+    final = np.linalg.norm(np.sum(snaps[-1].w[:, None] * snaps[-1].v, axis=0))
     assert final <= 0.05 * r
     _report("criterion 10 (sphere diffusion generator)",
             time.perf_counter() - tic, 120.0,

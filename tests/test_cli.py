@@ -942,6 +942,76 @@ class TestFailFast:
         assert "eps*A" in capsys.readouterr().err
 
 
+# two atoms of 16 come within the attraction's 0.02 range and overflow |v|^2 in
+# step 9, after the snapshots of steps 0 to 8 are on disk
+DIVERGES_IN_STEP_9 = {
+    **MINIMAL_EPS,
+    "kernels": {"name": GAUSSIAN_NAME, "params": {"C_A": 1e100, "l_A": 0.02, "C_R": 0.0}},
+    "integrator": {"T": 0.05, "dt": 1e-3, "stride": 1},
+    "output": {"formats": ["csv", "json"]},
+}
+
+
+def _record_writes(monkeypatch, fail_at=None):
+    """The names `Path.write_text` is called on, in order; call number
+    `fail_at` raises a disk-full OSError instead of writing."""
+    called = []
+    write_text = Path.write_text
+
+    def recording(path, text, *args, **kwargs):
+        called.append(path.name)
+        if len(called) == fail_at:
+            raise OSError(28, "No space left on device", str(path))
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recording)
+    return called
+
+
+class TestFailedRunRemovesItsOutput:
+    """Files reach disk as a run makes them; a run that fails removes them."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_run_diverging_after_written_snapshots_leaves_no_directory(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        writes = _record_writes(monkeypatch)
+        assert _main_in(tmp_path, DIVERGES_IN_STEP_9) == (3, False)
+        assert capsys.readouterr().err.startswith("numeric abort: run diverged in step 9 ")
+        assert writes[-2:] == [".snap_eps_00008.csv.part", ".snap_eps_00008.json.part"]
+        assert len(writes) == 1 + 18  # the config, then two files a snapshot
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_run_diverging_into_an_existing_directory_keeps_its_earlier_file(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("an earlier file\n")
+        assert _main_in(tmp_path, DIVERGES_IN_STEP_9) == (3, True)
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "an earlier file\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_run_diverging_over_an_earlier_run_keeps_its_files_and_manifest(self, tmp_path):
+        # the earlier run's snap_eps_00000 to 00008 share names with the failed run's
+        doc = {**DIVERGES_IN_STEP_9, "kernels": MINIMAL_EPS["kernels"]}
+        assert _main_in(tmp_path, doc) == (0, True)
+        out = tmp_path / "out"
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(earlier) == 2 * 51 + 2
+        assert _main_in(tmp_path, DIVERGES_IN_STEP_9) == (3, True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_failed_write_removes_the_files_before_it(self, tmp_path, monkeypatch, capsys):
+        # the two files written before the failing one used to stay behind
+        writes = _record_writes(monkeypatch, fail_at=1 + 3)  # the config, then the run's third
+        path = tmp_path / "cfg.json"
+        doc = {**MINIMAL_EPS, "integrator": {**MINIMAL_EPS["integrator"], "stride": 5}}
+        path.write_text(json.dumps(doc))
+        assert main(["simulate-eps", str(path), "--output", str(tmp_path / "a" / "out")]) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert writes[1:] == [f".snap_eps_0000{k}.csv.part" for k in range(3)]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def _error_types(base=SwarmError):
     """`base` and every subclass of it, recursively."""
     return [base, *(t for sub in base.__subclasses__() for t in _error_types(sub))]

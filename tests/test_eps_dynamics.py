@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+import swarmlab.eps_dynamics as eps_dynamics
 import swarmlab.noise as noise
 from swarmlab import (
     ModelParams,
@@ -18,11 +19,12 @@ from swarmlab import (
     w1_exact,
 )
 from swarmlab.cli import build_initial_ensemble
+from swarmlab.core import moments
 from swarmlab.eps_dynamics import SimConfig, snapshot_indices, snapshot_steps
 from swarmlab.errors import ValidationError
 from swarmlab.kernels import PairOperator
 
-from conftest import field, field_sup, make_phase, make_sphere
+from conftest import field, field_sup, make_phase, make_sphere, snapshots
 from oracles import align_weight, support_in_band, trapping_time_bounds
 
 ZERO = builtin_kernels("zero_potential")
@@ -62,12 +64,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match=match):
             SimConfig(params=ModelParams(1, 1, 0.1), spec=ZERO, dt=1e-3, steps=2, **kw)
 
+    @pytest.mark.parametrize("diffusion", ["no", 1, 0, None], ids=["str", "one", "zero", "none"])
+    def test_diffusion_is_a_bool(self, diffusion):
+        # a truthy non-bool ran with noise on, `"no"` among them
+        with pytest.raises(ValidationError, match="diffusion must be a bool"):
+            SimConfig(params=ModelParams(1, 1, 0.1), spec=ZERO, dt=1e-3, steps=2,
+                      diffusion=diffusion)
+
     def test_horizon_is_steps_times_dt(self):
         cfg = SimConfig(params=ModelParams(1, 1, 0.1), spec=ZERO, dt=1e-3, steps=3,
                         snapshot_stride=2)
         assert cfg.T == 3 * 1e-3
         assert snapshot_steps(cfg) == [0, 2, 3]
-        assert simulate(make_phase(2), cfg).times[-1] == 3 * 1e-3
+        assert snapshots(make_phase(2), cfg)[-1].time == 3 * 1e-3
 
 
 class TestStep:
@@ -76,7 +85,7 @@ class TestStep:
         p = ModelParams(4.0, 1.0, 0.05)  # r = 2
         ens = PhaseEnsemble(x=[[0.0, 0.0]], v=[[2.0, 0.0]], w=[1.0])
         cfg = cfgf(p, ZERO, dt=1e-2, steps=1)
-        out = simulate(ens, cfg).snapshots[-1]
+        out = snapshots(ens, cfg)[-1]
         assert_allclose(out.v, [[2.0, 0.0]], rtol=0, atol=0)
         assert_allclose(out.x, [[0.02, 0.0]], rtol=0, atol=1e-18)
 
@@ -85,8 +94,7 @@ class TestStep:
         ens = PhaseEnsemble(x=[[0.0, 0.0]], v=[[0.5, 0.0]], w=[1.0])
         T = 0.4
         cfg = cfgf(p, ZERO, dt=1e-3, steps=400)
-        traj = simulate(ens, cfg)
-        got = traj.snapshots[-1].v[0]
+        got = snapshots(ens, cfg)[-1].v[0]
         expect = free_flow(np.array([0.5, 0.0]), T / p.eps, p)
         assert_allclose(got, expect, rtol=1e-10, atol=0)
 
@@ -115,8 +123,8 @@ class TestStep:
                                v=sol.y[4:, -1].reshape(2, 2), w=w)
         gaps = []
         for dt, steps in ((1e-2, 50), (5e-3, 100), (2.5e-3, 200)):
-            traj = simulate(ens0, cfgf(p, CS, dt=dt, steps=steps))
-            gaps.append(w1_exact(traj.snapshots[-1], oracle).value)
+            end = snapshots(ens0, cfgf(p, CS, dt=dt, steps=steps))[-1]
+            gaps.append(w1_exact(end, oracle).value)
         c2 = gaps[0] / (1e-2) ** 2
         for dt, gap in zip((1e-2, 5e-3, 2.5e-3), gaps):
             assert gap <= 1.5 * c2 * dt**2
@@ -154,8 +162,7 @@ class TestSimulate:
         T = 0.5
         # the drift substep integrates the relaxation transient by midpoint
         # quadrature (error ~ dt^2/eps), so hitting 1e-8 needs a small step
-        traj = simulate(ens, cfgf(p, ZERO, dt=2e-5, steps=25000))
-        got = traj.snapshots[-1]
+        got = snapshots(ens, cfgf(p, ZERO, dt=2e-5, steps=25000))[-1]
         expect_v = free_flow(v0, T / p.eps, p)
         direction = v0 / np.linalg.norm(v0)
         speed_int, _ = quad(
@@ -168,20 +175,20 @@ class TestSimulate:
     def test_mass_exactly_conserved(self):
         p = ModelParams(1.0, 1.0, 0.1)
         ens = make_phase(20, seed=4, weights=np.arange(1, 21) / np.sum(np.arange(1, 21)))
-        traj = simulate(ens, cfgf(p, CS, dt=1e-2, steps=10))
-        for snap in traj.snapshots:
+        for snap in snapshots(ens, cfgf(p, CS, dt=1e-2, steps=10)):
             assert np.array_equal(snap.w, ens.w)
 
     def test_snapshot_times_and_lookup(self):
         p = ModelParams(1.0, 1.0, 0.1)
         cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, steps=10, snapshot_stride=2)
-        traj = simulate(make_phase(4), cfg)
-        assert traj.times == (0.0,) + tuple((k + 1) * 2e-2 for k in range(5))
-        [k] = snapshot_indices(traj.times[0], cfg, [0.06])
+        f_in = make_phase(4)
+        snaps = snapshots(f_in, cfg)
+        assert [s.time for s in snaps] == [0.0] + [(k + 1) * 2e-2 for k in range(5)]
+        [k] = snapshot_indices(f_in.time, cfg, [0.06])
         assert k == 3
-        assert traj.snapshots[k].time == pytest.approx(0.06)
+        assert snaps[k].time == pytest.approx(0.06)
         with pytest.raises(ValidationError, match=r"t_grid points \[0.05\]"):
-            snapshot_indices(traj.times[0], cfg, [0.06, 0.05])
+            snapshot_indices(f_in.time, cfg, [0.06, 0.05])
 
     @pytest.mark.parametrize("limit", [False, True], ids=["eps", "limit"])
     def test_one_ensemble_per_stored_snapshot(self, limit, monkeypatch):
@@ -197,9 +204,34 @@ class TestSimulate:
             post_init(ens)
 
         monkeypatch.setattr(PhaseEnsemble, "__post_init__", counting)
-        traj = simulate(f_in, cfg)
+        snaps = snapshots(f_in, cfg)
         assert len(made) == len(snapshot_steps(cfg)) - 1 == 2
-        assert made == list(traj.times[1:])
+        assert made == [s.time for s in snaps[1:]]
+
+    @pytest.mark.parametrize("limit", [False, True], ids=["eps", "limit"])
+    def test_stream_steps_only_as_far_as_it_is_read(self, limit, monkeypatch):
+        # the first item is f_in and its pair energy, from one build and no step
+        f_in = make_sphere(8, seed=2) if limit else make_phase(8, seed=2)
+        energy0 = PairOperator(f_in.w, CS).build(f_in.x).energy
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(PairOperator, "build", counting("build", PairOperator.build))
+        for step in ("_advance", "advance_limit"):
+            monkeypatch.setattr(eps_dynamics, step, counting("step", getattr(eps_dynamics, step)))
+        cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-2, steps=10,
+                        snapshot_stride=5)
+        run = simulate(f_in, cfg)
+        assert calls == []
+        assert next(run) == (f_in, energy0) and calls == ["build"]
+        assert next(run)[0].time == pytest.approx(0.05)
+        assert calls == ["build"] + ["step", "build"] * 5
+        run.close()
 
     def test_start_time_without_step_resolution_rejected_before_any_build(self, monkeypatch):
         # at t0 = 1e20 a step of 1e-3 leaves the time unchanged: every stored
@@ -216,7 +248,7 @@ class TestSimulate:
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 0.1), spec=CS, dt=1e-3, steps=10,
                         snapshot_stride=5)
         with pytest.raises(ValidationError, match="strictly increas"):
-            simulate(f_in, cfg)
+            next(simulate(f_in, cfg))
         assert builds == []
 
     def test_position_cone_bound(self):
@@ -224,10 +256,11 @@ class TestSimulate:
         l0, big_r = 1.0, 1.5
         ens = make_phase(64, seed=5, speed_lo=0.5, speed_hi=big_r, box=l0 / 2)
         dt = 1e-3
-        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=dt, steps=500,
-                                       snapshot_stride=50))
-        a_sup = max(field_sup(s, CS) for s in traj.snapshots)
-        for t, snap in zip(traj.times, traj.snapshots):
+        snaps = snapshots(ens, SimConfig(params=p, spec=CS, dt=dt, steps=500,
+                                         snapshot_stride=50))
+        a_sup = max(field_sup(s, CS) for s in snaps)
+        for snap in snaps:
+            t = snap.time
             radius = float(np.max(np.linalg.norm(snap.x, axis=1)))
             assert radius <= l0 + t * big_r + (a_sup + 1.0) * dt * t + 1e-12
 
@@ -237,8 +270,8 @@ class TestSimulate:
         lo = PhaseEnsemble(x=[[0.0, 0.0]], v=[[0.4, 0.0]], w=[1.0])
         hi = PhaseEnsemble(x=[[0.0, 0.0]], v=[[1.7, 0.0]], w=[1.0])
         cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, steps=200, snapshot_stride=10)
-        s_lo = [r.speed_max for r in simulate(lo, cfg).moment_reports]
-        s_hi = [r.speed_max for r in simulate(hi, cfg).moment_reports]
+        s_lo = [moments(s).speed_max for s in snapshots(lo, cfg)]
+        s_hi = [moments(s).speed_max for s in snapshots(hi, cfg)]
         assert all(b > a for a, b in zip(s_lo, s_lo[1:]))
         assert all(b < a for a, b in zip(s_hi, s_hi[1:]))
         assert all(s > 0.4 for s in s_lo[1:])
@@ -247,18 +280,18 @@ class TestSimulate:
     def test_total_energy_decreases_zero_potential(self):
         p = ModelParams(1.0, 1.0, 1e6)  # relaxation negligible
         ens = make_phase(16, seed=6)
-        traj = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, steps=300,
-                                       snapshot_stride=30))
-        assert all(b <= a + 1e-12 for a, b in zip(traj.energies, traj.energies[1:]))
+        cfg = SimConfig(params=p, spec=CS, dt=1e-3, steps=300, snapshot_stride=30)
+        energies = [moments(s).kinetic_energy + e for s, e in simulate(ens, cfg)]
+        assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_determinism_bitwise(self):
         p = ModelParams(1.0, 1.0, 0.05)
         ens = make_phase(12, seed=7)
         cfg = SimConfig(params=p, spec=CS, dt=1e-3, steps=50,
                         snapshot_stride=10, diffusion=True, rng_seed=99)
-        a = simulate(ens, cfg)
-        b = simulate(ens, cfg)
-        for sa, sb in zip(a.snapshots, b.snapshots):
+        a = snapshots(ens, cfg)
+        b = snapshots(ens, cfg)
+        for sa, sb in zip(a, b):
             assert np.array_equal(sa.x, sb.x)
             assert np.array_equal(sa.v, sb.v)
 
@@ -272,8 +305,7 @@ class TestDiffusive:
         ens = PhaseEnsemble(x=np.zeros((n, d)), v=v0, w=np.full(n, 1.0 / n))
         cfg = SimConfig(params=p, spec=ZERO, dt=1e-2, steps=100,
                         snapshot_stride=100, diffusion=True, rng_seed=11)
-        traj = simulate(ens, cfg)
-        disp = traj.snapshots[-1].v - v0
+        disp = snapshots(ens, cfg)[-1].v - v0
         var = float(np.mean(np.sum(disp**2, axis=1)))
         assert var == pytest.approx(2 * d * 1.0, rel=0.05)
 
@@ -282,9 +314,9 @@ class TestDiffusive:
         ens = make_phase(8, seed=8)
         monkeypatch.setattr(noise, "gaussian_increments",
                             lambda seed, dom, k, shape: np.zeros(shape))
-        det = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3, steps=1)).snapshots[-1]
-        sto = simulate(ens, SimConfig(params=p, spec=CS, dt=1e-3,
-                                      steps=1, diffusion=True)).snapshots[-1]
+        det = snapshots(ens, SimConfig(params=p, spec=CS, dt=1e-3, steps=1))[-1]
+        sto = snapshots(ens, SimConfig(params=p, spec=CS, dt=1e-3,
+                                       steps=1, diffusion=True))[-1]
         assert np.array_equal(det.v, sto.v)
         assert np.array_equal(det.x, sto.x)
 
@@ -296,8 +328,7 @@ class TestDiffusive:
                             w=np.full(n, 1.0 / n))
         cfg = SimConfig(params=p, spec=ZERO, dt=1e-3, steps=1000,
                         snapshot_stride=1000, diffusion=True, rng_seed=13)
-        traj = simulate(ens, cfg)
-        speeds = traj.snapshots[-1].speeds()
+        speeds = snapshots(ens, cfg)[-1].speeds()
         band = 5.0 * math.sqrt(p.eps)
         frac = float(np.mean((speeds >= 1.0 - band) & (speeds <= 1.0 + band)))
         assert frac >= 0.95
@@ -309,19 +340,19 @@ class TestDiffusive:
         dt = 2e-3
         ens = make_phase(64, seed=9, speed_lo=0.5, speed_hi=1.5)
         cfg = SimConfig(params=p, spec=CS, dt=dt, steps=250, snapshot_stride=25)
-        traj = simulate(ens, cfg)
-        a_sup = max(field_sup(s, CS) for s in traj.snapshots)
+        snaps = snapshots(ens, cfg)
+        a_sup = max(field_sup(s, CS) for s in snaps)
         lo = solve_roots(p.eps, -a_sup, p)
         hi = solve_roots(p.eps, a_sup, p)
         assert lo.validity
         t1, t2 = trapping_time_bounds(0.5, 1.5, p.eps, p)
-        entered = [t for t, s in zip(traj.times, traj.snapshots)
+        entered = [s.time for s in snaps
                    if support_in_band(s, lo.rho2 - p.eps - 2 * dt,
                                       hi.rho3 + p.eps + 2 * dt)]
         assert entered and entered[0] <= t1 + t2 + 2 * dt
         # once in, never out
-        k = traj.times.index(entered[0])
-        assert len(entered) == len(traj.times) - k
+        k = [s.time for s in snaps].index(entered[0])
+        assert len(entered) == len(snaps) - k
 
 
 class TestMeasuredOrder:
@@ -339,7 +370,7 @@ class TestMeasuredOrder:
     def final(self, ens, dt):
         cfg = SimConfig(params=self.P, spec=self.SPEC, dt=dt, steps=round(0.5 / dt),
                         snapshot_stride=10**6)
-        return simulate(ens, cfg).snapshots[-1]
+        return snapshots(ens, cfg)[-1]
 
     @pytest.fixture(scope="class")
     def runs(self):

@@ -46,8 +46,8 @@ def _datum(seed, d, limit):
 
 def _run(x, v, w, limit):
     """The (x, v) arrays of every snapshot of the run from (x, v, w)."""
-    traj = simulate(PhaseEnsemble(x, v, w, r=1.0 if limit else None), CFG)
-    return [(snap.x, snap.v) for snap in traj.snapshots]
+    return [(snap.x, snap.v)
+            for snap, _ in simulate(PhaseEnsemble(x, v, w, r=1.0 if limit else None), CFG)]
 
 
 def _assert_runs_match(got, want):

@@ -17,7 +17,7 @@ from swarmlab import (
     w1_exact,
 )
 from swarmlab.errors import BadKernelParams, ValidationError
-from swarmlab.core import ModelParams, project_measure
+from swarmlab.core import ModelParams, moments, project_measure
 from swarmlab.eps_dynamics import SimConfig, simulate
 from swarmlab import kernels
 from swarmlab.kernels import PairOperator
@@ -289,9 +289,9 @@ def _stride_2_run(limit):
     0, 2, 4 and 5), in the eps regime or, with diffusion, its sphere limit."""
     p = ModelParams(1.0, 1.0, 0.05)
     ens = make_phase(16, seed=9)
-    return simulate(project_measure(ens, p.r) if limit else ens,
-                    SimConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
-                              steps=K_STEPS, snapshot_stride=2, diffusion=limit))
+    return list(simulate(project_measure(ens, p.r) if limit else ens,
+                         SimConfig(params=p, spec=ORACLE_SPECS["composed"], dt=1e-2,
+                                   steps=K_STEPS, snapshot_stride=2, diffusion=limit)))
 
 
 class TestPairOperator:
@@ -364,14 +364,15 @@ class TestPairOperator:
     @pytest.mark.parametrize("limit", [False, True], ids=["eps", "limit"])
     def test_energies_match_double_sum(self, limit):
         spec = ORACLE_SPECS["composed"]
-        traj = _stride_2_run(limit)
-        assert len(traj.snapshots) == 4   # steps 0, 2, 4 and the last, 5
-        for snap, energy in zip(traj.snapshots, traj.energies):
+        run = _stride_2_run(limit)
+        assert len(run) == 4   # steps 0, 2, 4 and the last, 5
+        for snap, pair_energy in run:
             kinetic = 0.5 * math.fsum(snap.w * np.sum(snap.v * snap.v, axis=1))
             dx = snap.x[:, None, :] - snap.x[None, :, :]
             pair = 0.5 * math.fsum(
                 (snap.w[:, None] * snap.w[None, :] * potential(spec, dx)).ravel())
-            assert energy == pytest.approx(kinetic + pair, rel=1e-13)
+            assert moments(snap).kinetic_energy + pair_energy == pytest.approx(
+                kinetic + pair, rel=1e-13)
 
     def test_rebuild_matches_fresh_build(self):
         # a rebuild reuses the N x N buffer; nothing of the old state survives

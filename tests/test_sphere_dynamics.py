@@ -10,14 +10,13 @@ from swarmlab import (
     ModelParams,
     PhaseEnsemble,
     builtin_kernels,
-    simulate,
     spherical_coords_3d,
     tangential_projection,
 )
 from swarmlab.eps_dynamics import SimConfig
 from swarmlab.errors import ValidationError, ZeroVelocityParticle
 
-from conftest import make_sphere
+from conftest import make_sphere, snapshots
 from oracles import (PoleSingularity, laplace_beltrami_via_extension, mobius_alignment,
                      sphere_point_3d, spherical_divergence_3d, spherical_laplacian_3d,
                      tangent_frame_3d, zero_hom_laplacian_formula)
@@ -55,7 +54,7 @@ class TestStepLimit:
         ens = make_sphere(8, d=2, r=1.5, seed=2)
         cfg = SimConfig(params=ModelParams(2.25, 1.0, 1.0), spec=ZERO,
                         dt=0.01, steps=1)
-        out = simulate(ens, cfg).snapshots[-1]
+        out = snapshots(ens, cfg)[-1]
         assert_allclose(out.v, ens.v, rtol=0, atol=0)
         assert_allclose(out.x, ens.x + 0.01 * ens.v, rtol=0, atol=0)
 
@@ -63,8 +62,7 @@ class TestStepLimit:
         ens = make_sphere(64, d=3, r=1.2, seed=3)
         cfg = SimConfig(params=ModelParams(1.44, 1.0, 1.0), spec=CONST,
                         dt=0.01, steps=100, snapshot_stride=10)
-        traj = simulate(ens, cfg)
-        for snap in traj.snapshots:
+        for snap in snapshots(ens, cfg):
             assert np.max(np.abs(snap.speeds() - 1.2)) <= 1e-14 * 1.2
 
     def test_global_alignment_consensus(self):
@@ -77,9 +75,8 @@ class TestStepLimit:
                             w=np.full(n, 1.0 / n), r=1.0)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
                         dt=0.01, steps=2000, snapshot_stride=100)
-        traj = simulate(ens, cfg)
         cv = [1.0 - np.linalg.norm(np.sum(s.w[:, None] * s.v, axis=0))
-              for s in traj.snapshots]
+              for s in snapshots(ens, cfg)]
         assert all(b <= a + 1e-12 for a, b in zip(cv, cv[1:]))
         assert cv[-1] < 1e-6
 
@@ -87,12 +84,11 @@ class TestStepLimit:
         ens = make_sphere(32, d=2, r=1.0, seed=4)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
                         dt=0.01, steps=200, snapshot_stride=10)
-        traj = simulate(ens, cfg)
         spread = [
             float(np.sum(s.w[:, None] * s.w[None, :]
                          * np.sum((s.v[:, None, :] - s.v[None, :, :]) ** 2,
                                   axis=2)))
-            for s in traj.snapshots
+            for s in snapshots(ens, cfg)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(spread, spread[1:]))
 
@@ -139,7 +135,7 @@ class TestMobiusAlignment:
             cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0),
                             spec=builtin_kernels("constant_weight", {"K": self.K}),
                             dt=dt, steps=steps, snapshot_stride=steps)
-            end = simulate(ens, cfg).snapshots[-1]
+            end = snapshots(ens, cfg)[-1]
             errors.append([np.max(np.linalg.norm(end.v - omega @ plane, axis=1)) / dt,
                            np.max(np.linalg.norm(end.x - x0 - dx @ plane, axis=1)) / dt])
         errors = np.array(errors)  # error / dt: constant at first order
@@ -157,8 +153,8 @@ class TestStepLimitDiffusive:
                           dt=0.01, steps=1, diffusion=True)
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=CONST,
                         dt=0.01, steps=1)
-        a = simulate(ens, cfg_d).snapshots[-1]
-        b = simulate(ens, cfg).snapshots[-1]
+        a = snapshots(ens, cfg_d)[-1]
+        b = snapshots(ens, cfg)[-1]
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.x, b.x)
 
@@ -171,9 +167,8 @@ class TestStepLimitDiffusive:
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
                         dt=2e-3, steps=2500, snapshot_stride=2500,
                         diffusion=True, rng_seed=21)
-        traj = simulate(ens, cfg)
-        first_moment = np.linalg.norm(
-            np.sum(traj.snapshots[-1].w[:, None] * traj.snapshots[-1].v, axis=0))
+        end = snapshots(ens, cfg)[-1]
+        first_moment = np.linalg.norm(np.sum(end.w[:, None] * end.v, axis=0))
         assert first_moment <= 0.05 * r
 
     def test_degree_one_decay_rate(self):
@@ -185,9 +180,9 @@ class TestStepLimitDiffusive:
         cfg = SimConfig(params=ModelParams(1.0, 1.0, 1.0), spec=ZERO,
                         dt=2e-3, steps=500, snapshot_stride=50,
                         diffusion=True, rng_seed=7)
-        traj = simulate(ens, cfg)
-        ts = np.array(traj.times)
-        m3 = np.array([float(np.sum(s.w * s.v[:, 2])) for s in traj.snapshots])
+        snaps = snapshots(ens, cfg)
+        ts = np.array([s.time for s in snaps])
+        m3 = np.array([float(np.sum(s.w * s.v[:, 2])) for s in snaps])
         mask = m3 > 0.1 * r
         rate = -np.polyfit(ts[mask], np.log(m3[mask] / r), 1)[0]
         assert rate == pytest.approx(2.0 / r**2, rel=0.10)

@@ -24,7 +24,7 @@ from swarmlab.eps_dynamics import SimConfig, snapshot_indices
 from swarmlab.errors import DimensionMismatch, Diverged, TooLarge, ValidationError
 from swarmlab.transport import EXACT_CAP, _w1_lp
 
-from conftest import make_phase, make_sphere
+from conftest import make_phase, make_sphere, snapshots
 from oracles import equicontinuity_probe
 
 ZERO = builtin_kernels("zero_potential")
@@ -512,25 +512,25 @@ class TestEquicontinuityProbe:
         ens = make_sphere(12, d=2, r=r, seed=13, box=4.0)
         cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, steps=20,
                         snapshot_stride=5)
-        traj = simulate(ens, cfg)
+        snaps = snapshots(ens, cfg)
         for (t, s) in [(0.0, 0.05), (0.05, 0.15), (0.0, 0.1)]:
-            k_t, k_s = snapshot_indices(traj.times[0], cfg, [t, s])
-            rep = w1_exact(traj.snapshots[k_t], traj.snapshots[k_s])
+            k_t, k_s = snapshot_indices(ens.time, cfg, [t, s])
+            rep = w1_exact(snaps[k_t], snaps[k_s])
             assert rep.value == pytest.approx(r * abs(t - s), rel=1e-9)
 
     def test_identical_times_rejected(self):
         params = ModelParams(1.0, 1.0, 0.1)
         cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, steps=10, snapshot_stride=5)
-        traj = simulate(make_phase(6, seed=14), cfg)
+        snaps = snapshots(make_phase(6, seed=14), cfg)
         with pytest.raises(ValidationError):
-            equicontinuity_probe(traj, cfg, [(0.0, 0.0)])
+            equicontinuity_probe(snaps, cfg, [(0.0, 0.0)])
 
     def test_empty_pair_list_rejected(self):
         params = ModelParams(1.0, 1.0, 0.1)
         cfg = SimConfig(params=params, spec=ZERO, dt=1e-2, steps=10, snapshot_stride=5)
-        traj = simulate(make_phase(6, seed=14), cfg)
+        snaps = snapshots(make_phase(6, seed=14), cfg)
         with pytest.raises(ValidationError, match="pair list is empty"):
-            equicontinuity_probe(traj, cfg, [])
+            equicontinuity_probe(snaps, cfg, [])
 
     def test_well_prepared_ratio_below_constant(self):
         params = ModelParams(1.0, 1.0, 0.05)
@@ -538,10 +538,9 @@ class TestEquicontinuityProbe:
         f_in = PhaseEnsemble(x=sph.x, v=sph.v, w=sph.w)
         cfg = SimConfig(params=params, spec=CS, dt=1e-3, steps=500,
                         snapshot_stride=100)
-        traj = simulate(f_in, cfg)
-        times = traj.times
-        pairs = [(a, b) for a, b in itertools.combinations(times, 2)]
-        rep = equicontinuity_probe(traj, cfg, pairs)
+        snaps = snapshots(f_in, cfg)
+        pairs = [(a.time, b.time) for a, b in itertools.combinations(snaps, 2)]
+        rep = equicontinuity_probe(snaps, cfg, pairs)
         assert rep.n_pairs == len(pairs)
         assert np.isfinite(rep.bound_constant)
         assert rep.max_ratio <= rep.bound_constant
