@@ -13,6 +13,7 @@ from .core import (
     PhaseEnsemble,
     moments,
     project_measure,
+    spherical_coords_3d,
 )
 from .eps_dynamics import SimConfig, simulate
 from .kernels import KernelSpec, builtin_kernels, compose_kernels
@@ -24,7 +25,7 @@ from .relaxation import (
     root_asymptotics,
     solve_roots,
 )
-from .sphere_dynamics import spherical_coords_3d, tangential_projection
+from .sphere_dynamics import tangential_projection
 from .transport import W1Report, convergence_study, w1_exact
 
 __all__ = [name for name in dir() if not name.startswith("_")]

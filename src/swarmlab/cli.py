@@ -27,13 +27,10 @@ from .core import (
     PhaseEnsemble,
     config_hash,
     csv_text,
-    ensemble_from_csv,
-    ensemble_from_json,
-    ensemble_to_csv,
-    ensemble_to_json,
-    format_particles,
+    load_snapshot,
     moments,
     project_measure,
+    snapshot_files,
 )
 from .eps_dynamics import SimConfig, simulate
 from .errors import ParseError, SwarmError, ValidationError
@@ -45,7 +42,6 @@ from .relaxation import (
     solve_roots,
     speed_flow,
 )
-from .sphere_dynamics import spherical_coords_3d
 from .transport import convergence_study, w1_exact
 
 INTEGRATOR_DEFAULTS = {"dt": 1e-3, "stride": 100, "scheme": "strang", "diffusion": False}
@@ -283,39 +279,6 @@ def build_initial_ensemble(init: dict, params: ModelParams) -> PhaseEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Output writers
-# ---------------------------------------------------------------------------
-
-def _snapshot_files(named, formats):
-    """Each (stem, ensemble)'s files in the run's formats, the CSVs first.
-    A snapshot's numbers are formatted once, and both writers fill their
-    templates from those strings; a CSV of a d = 3 sphere snapshot gains
-    its chart angles."""
-    if not formats:
-        return
-    tables = []
-    for stem, ens in named:
-        extra = {}
-        if "csv" in formats and ens.r is not None and ens.dim == 3:
-            extra = dict(zip(("theta", "phi"), spherical_coords_3d(ens.v, ens.r)))
-        tables.append((stem, format_particles(ens, **extra)))
-    for fmt, write in (("csv", ensemble_to_csv), ("json", ensemble_to_json)):
-        if fmt in formats:
-            for stem, table in tables:
-                yield f"{stem}.{fmt}", write(table)
-
-
-def load_snapshot(path: str) -> PhaseEnsemble:
-    """Read a snapshot file (JSON preferred: CSV carries no sphere radius);
-    a file that does not parse to a valid ensemble raises ParseError naming it."""
-    parse = ensemble_from_json if Path(path).suffix == ".json" else ensemble_from_csv
-    try:
-        return parse(Path(path).read_text())
-    except (SwarmError, UnicodeDecodeError) as exc:
-        raise ParseError(f"snapshot {path}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # Mode handlers
 # ---------------------------------------------------------------------------
 
@@ -341,7 +304,7 @@ def _mode_simulate(cfg, seed, formats):
     prefix = "snap_limit" if limit else "snap_eps"
     rows = []
     for k, (snap, pair_energy) in enumerate(simulate(ens, _run_config(cfg, params, spec, seed))):
-        yield from _snapshot_files([(f"{prefix}_{k:05d}", snap)], formats)
+        yield from snapshot_files([(f"{prefix}_{k:05d}", snap)], formats)
         rep = moments(snap)
         rows.append([float(snap.time), rep.mass, *rep.momentum.tolist(), rep.kinetic_energy,
                      rep.kinetic_energy + pair_energy, rep.speed_min, rep.speed_max])
@@ -356,7 +319,7 @@ def _mode_project(cfg, seed, formats):
     ens = (load_snapshot(source) if source
            else build_initial_ensemble({**cfg.init, "seed": seed}, params))
     sphere = project_measure(ens, params.r)
-    yield from _snapshot_files([("source", ens), ("projected", sphere)], formats)
+    yield from snapshot_files([("source", ens), ("projected", sphere)], formats)
 
 
 def _mode_roots(cfg, seed, formats):
@@ -495,14 +458,15 @@ def main(argv=None) -> int:
         p.add_argument("--output", default=None)
     args = parser.parse_args(argv)
     try:
-        if args.command == "compare" and args.file_a and args.file_b:
+        if args.command == "compare" and (args.file_a or args.config is None):
+            if args.config is not None:
+                raise ValidationError("compare takes two snapshot files or --config, not both")
+            if not args.file_b:
+                raise ValidationError("compare needs two snapshot files or --config")
             cfg = RunConfig(mode="compare",
                             compare={"file_a": args.file_a, "file_b": args.file_b})
         else:
-            path = args.config
-            if path is None:
-                raise ValidationError("compare needs two snapshot files or --config")
-            cfg = parse_config(Path(path).read_text())
+            cfg = parse_config(Path(args.config).read_text())
             if cfg.mode != args.command:
                 raise ValidationError(
                     f"config mode {cfg.mode!r} does not match subcommand {args.command!r}"

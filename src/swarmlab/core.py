@@ -1,4 +1,6 @@
-"""Domain types, ensemble bookkeeping, and the sphere-projection operator.
+"""Domain types, ensemble bookkeeping, the sphere-projection operator, and the
+snapshot file format: its one writer, its readers and the 3D chart that labels
+sphere snapshots.
 
 Ensembles are immutable weighted particle clouds: the discrete stand-in for a
 probability measure on phase space (x, v), or, given a radius r, on the
@@ -14,10 +16,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, ValidationError, ZeroVelocityParticle
+from .errors import DimensionMismatch, ParseError, SwarmError, ValidationError, ZeroVelocityParticle
 
 MASS_TOL = 1e-12          # |sum(w) - 1| allowed at construction
 SPHERE_RADIUS_TOL = 1e-12  # relative deviation of |v| from r
@@ -167,10 +170,10 @@ def moments(ens: PhaseEnsemble) -> MomentReport:
 # ---------------------------------------------------------------------------
 # Serialization: CSV (one row per particle) and JSON (with a header object).
 # Floats are written with repr() so identical runs emit identical bytes and
-# values round-trip exactly. A snapshot's numbers are formatted once, by
-# format_particles; both snapshot writers fill their templates from those
-# strings, so a snapshot written as CSV and as JSON calls repr() once per
-# value. csv_text writes the small tables (moments, roots, flow, sweep).
+# values round-trip exactly. snapshot_files formats a snapshot's numbers once
+# and fills both formats' text from those strings, so a snapshot written as
+# CSV and as JSON calls repr() once per value. csv_text writes the small
+# tables (moments, roots, flow, sweep).
 # ---------------------------------------------------------------------------
 
 def csv_text(header, rows) -> str:
@@ -181,47 +184,53 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ParticleCells:
-    """An ensemble's particle table as text: `cells` holds, row after row,
-    each particle's id, x, v, w and extra columns, each the repr() of its
-    number; `header` names the columns."""
-
-    ens: PhaseEnsemble
-    header: tuple
-    cells: list
-
-    def rows(self, width: int):
-        """The first `width` cells of each row, row by row."""
-        step = len(self.header)
-        return (self.cells[k:k + width] for k in range(0, len(self.cells), step))
-
-
-def format_particles(ens: PhaseEnsemble, **extra) -> ParticleCells:
-    """The one formatting pass of a snapshot: repr() of every particle's
-    x, v and w, and of each `extra` per-particle column after w."""
+def _cells(ens: PhaseEnsemble, chart: bool):
+    """The one formatting pass of a snapshot: the CSV header, and, row after
+    row, each particle's id and the repr() of its x, v, w and, given `chart`,
+    of its chart angles theta and phi."""
     d = range(1, ens.dim + 1)
-    header = ("id", *(f"x{k}" for k in d), *(f"v{k}" for k in d), "w", *extra)
-    columns = np.column_stack([ens.x, ens.v, ens.w, *extra.values()]).T.tolist()
+    angles = spherical_coords_3d(ens.v, ens.r) if chart else ()
+    header = ("id", *(f"x{k}" for k in d), *(f"v{k}" for k in d), "w",
+              *("theta", "phi")[:len(angles)])
     cells = [""] * (ens.n * len(header))
     cells[::len(header)] = map(str, range(ens.n))
-    for k, column in enumerate(columns, 1):
+    for k, column in enumerate(np.column_stack([ens.x, ens.v, ens.w, *angles]).T.tolist(), 1):
         cells[k::len(header)] = map(repr, column)
-    return ParticleCells(ens, header, cells)
+    return header, cells
 
 
-def _formatted(ens, extra) -> ParticleCells:
-    return ens if isinstance(ens, ParticleCells) else format_particles(ens, **extra)
-
-
-def ensemble_to_csv(ens: PhaseEnsemble | ParticleCells, **extra) -> str:
-    """One row per particle; each `extra` entry is a named per-particle
-    column written after w. Given the ParticleCells of an ensemble, which
-    hold their extra columns already, it writes those strings."""
-    table = _formatted(ens, extra)
-    lines = [",".join(table.header)]
-    lines += map(",".join, table.rows(len(table.header)))
-    return "\n".join(lines) + "\n"
+def snapshot_files(named, formats):
+    """(file name, text) of each (stem, ensemble)'s snapshot in `formats`, the
+    CSVs first. The CSV has one row per particle, and a d = 3 sphere snapshot's
+    rows end in its chart angles theta and phi. The JSON is exactly the bytes
+    of `json.dumps(doc, indent=1)` for doc = {"header": {"dim", "time", "r"},
+    "particles": [{"id", "x", "v", "w"}, ...]}: with `indent` set, `json.dumps`
+    runs its pure-Python encoder, so each particle is written instead through
+    one %-template filled from the repr() strings of _cells. `json` writes a
+    float as `float.__repr__`, and x, v and w are finite, so the bytes agree.
+    The header values still go through `json.dumps`, which keeps an integer
+    time or radius, and null."""
+    if not formats:
+        return
+    tables = [(stem, ens, *_cells(ens, "csv" in formats and ens.r is not None and ens.dim == 3))
+              for stem, ens in named]
+    if "csv" in formats:
+        for stem, _, header, cells in tables:
+            width = len(header)
+            lines = [",".join(header)]
+            lines += [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
+            yield f"{stem}.csv", "\n".join(lines) + "\n"
+    if "json" in formats:
+        for stem, ens, header, cells in tables:
+            numbers = ",\n    ".join(["%s"] * ens.dim)
+            particle = ('  {\n   "id": %s,\n   "x": [\n    ' + numbers
+                        + '\n   ],\n   "v": [\n    ' + numbers + '\n   ],\n   "w": %s\n  }')
+            head = ('{\n "header": {\n  "dim": %d,\n  "time": %s,\n  "r": %s\n },\n'
+                    ' "particles": [\n' % (ens.dim, json.dumps(ens.time), json.dumps(ens.r)))
+            step, width = len(header), 2 * ens.dim + 2
+            body = ",\n".join([particle % tuple(cells[k:k + width])
+                               for k in range(0, len(cells), step)])
+            yield f"{stem}.json", head + body + "\n ]\n}"
 
 
 def ensemble_from_csv(text: str, time: float = 0.0,
@@ -250,27 +259,6 @@ def ensemble_from_csv(text: str, time: float = 0.0,
                          time=time, r=r)
 
 
-def ensemble_to_json(ens: PhaseEnsemble | ParticleCells) -> str:
-    """The snapshot document, as exactly the bytes of `json.dumps(doc, indent=1)`
-    for doc = {"header": {"dim", "time", "r"}, "particles": [{"id", "x", "v",
-    "w"}, ...]}. With `indent` set, `json.dumps` runs its pure-Python encoder,
-    so the particles are written instead through one %-template per particle,
-    filled from the repr() strings of format_particles (given ParticleCells,
-    from theirs; extra columns are not written). `json` writes a float as
-    `float.__repr__`, and x, v and w are finite, so the bytes agree. The
-    header values still go through `json.dumps`, which keeps an integer time
-    or radius, and null."""
-    table = _formatted(ens, {})
-    ens = table.ens
-    cells = ",\n    ".join(["%s"] * ens.dim)
-    particle = ('  {\n   "id": %s,\n   "x": [\n    ' + cells + '\n   ],\n   "v": [\n    '
-                + cells + '\n   ],\n   "w": %s\n  }')
-    head = ('{\n "header": {\n  "dim": %d,\n  "time": %s,\n  "r": %s\n },\n "particles": [\n'
-            % (ens.dim, json.dumps(ens.time), json.dumps(ens.r)))
-    body = ",\n".join([particle % tuple(row) for row in table.rows(2 * ens.dim + 2)])
-    return head + body + "\n ]\n}"
-
-
 def _finite_real(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and -math.inf < value < math.inf)
@@ -296,6 +284,36 @@ def ensemble_from_json(text: str) -> PhaseEnsemble:
     if not (r is None or (_finite_real(r) and r > 0)):
         raise ParseError(f"snapshot header r must be null or a positive number, got {r!r}")
     return PhaseEnsemble(x=x, v=v, w=w, time=time, r=r)
+
+
+def load_snapshot(path: str) -> PhaseEnsemble:
+    """Read a snapshot file (JSON preferred: CSV carries no sphere radius);
+    a file that does not parse to a valid ensemble raises ParseError naming it."""
+    parse = ensemble_from_json if Path(path).suffix == ".json" else ensemble_from_csv
+    try:
+        return parse(Path(path).read_text())
+    except (SwarmError, UnicodeDecodeError) as exc:
+        raise ParseError(f"snapshot {path}: {exc}") from exc
+
+
+# 3D chart of the speed sphere, which labels the rows of a sphere snapshot's
+# CSV: omega = r (cos(theta) cos(phi), cos(theta) sin(phi), sin(theta)),
+# theta in [-pi/2, pi/2], phi in [0, 2 pi).
+
+def spherical_coords_3d(omega, r: float):
+    """Chart angles (theta, phi) of a point, or arrays of them over the rows
+    of an (n, 3) batch: theta in [-pi/2, pi/2], exactly +-pi/2 at the poles,
+    and phi in [0, 2 pi)."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim not in (1, 2) or omega.shape[-1] != 3:
+        raise ValidationError(f"expected 3D points, got shape {omega.shape}")
+    off = np.abs(np.sqrt(np.sum(omega * omega, axis=-1)) - r)
+    if np.any(off > 1e-9 * r):
+        raise ValidationError(f"point is off the radius-{r} sphere by {np.max(off):.3e}")
+    theta = np.arcsin(np.clip(omega[..., 2] / r, -1.0, 1.0))
+    phi = np.arctan2(omega[..., 1], omega[..., 0]) % (2.0 * math.pi)
+    # a tiny negative angle plus 2 pi rounds to 2 pi, which is the angle 0
+    return theta, np.where(phi < 2.0 * math.pi, phi, 0.0)[()]
 
 
 def config_hash(mapping) -> str:

@@ -13,7 +13,7 @@ snapshot ensembles, yields each as the run reaches it, and turns a diverged
 step into `Diverged`; a drift that would turn omega past `MAX_TURN` is one.
 
 The dynamics runs in Cartesian components and never touches a chart; the 3D
-chart angles of `spherical_coords_3d` only label sphere snapshots. The
+chart that labels sphere snapshots is `core.spherical_coords_3d`. The
 Laplacian identities the suite checks the generator against live in
 `tests/oracles.py`.
 """
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import noise
-from .errors import Diverged, ValidationError
+from .errors import Diverged
 from .kernels import PairOperator
 
 # The most a limit step may turn omega, as the turn measure tau =
@@ -83,24 +83,3 @@ def advance_limit(x, v, cfg, step_index: int, op: PairOperator, r: float):
         u = u + math.sqrt(2.0 * cfg.dt) * tangential_projection(shot, v)
     op.build(x)
     return x, _renormalize(u, v, r)
-
-
-# ---------------------------------------------------------------------------
-# 3D charts: omega = r (cos(theta) cos(phi), cos(theta) sin(phi), sin(theta)),
-# theta in [-pi/2, pi/2], phi in [0, 2 pi).
-# ---------------------------------------------------------------------------
-
-def spherical_coords_3d(omega, r: float):
-    """Chart angles (theta, phi) of a point, or arrays of them over the rows
-    of an (n, 3) batch: theta in [-pi/2, pi/2], exactly +-pi/2 at the poles,
-    and phi in [0, 2 pi)."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim not in (1, 2) or omega.shape[-1] != 3:
-        raise ValidationError(f"expected 3D points, got shape {omega.shape}")
-    off = np.abs(np.sqrt(np.sum(omega * omega, axis=-1)) - r)
-    if np.any(off > 1e-9 * r):
-        raise ValidationError(f"point is off the radius-{r} sphere by {np.max(off):.3e}")
-    theta = np.arcsin(np.clip(omega[..., 2] / r, -1.0, 1.0))
-    phi = np.arctan2(omega[..., 1], omega[..., 0]) % (2.0 * math.pi)
-    # a tiny negative angle plus 2 pi rounds to 2 pi, which is the angle 0
-    return theta, np.where(phi < 2.0 * math.pi, phi, 0.0)[()]

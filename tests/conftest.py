@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swarmlab import PhaseEnsemble, simulate
+from swarmlab.core import snapshot_files
 from swarmlab.kernels import PairOperator
 
 
@@ -31,6 +32,12 @@ def make_sphere(n, d=2, r=1.0, seed=0, box=1.0):
 def snapshots(f_in, cfg) -> list:
     """Every snapshot `simulate` yields for the run, in order, without its energy."""
     return [snap for snap, _ in simulate(f_in, cfg)]
+
+
+def snapshot_text(ens, fmt="json") -> str:
+    """The text of the one file `snapshot_files` writes for `ens` in format `fmt`."""
+    [(_, text)] = snapshot_files([("snap", ens)], [fmt])
+    return text
 
 
 def field(ens, spec):

@@ -15,7 +15,6 @@ from swarmlab.cli import (
     RunConfig,
     _w1_report_json,
     build_initial_ensemble,
-    load_snapshot,
     main,
     parse_config,
     run,
@@ -24,12 +23,13 @@ from swarmlab.core import (
     ModelParams,
     PhaseEnsemble,
     ensemble_from_csv,
-    ensemble_to_json,
-    format_particles,
+    load_snapshot,
 )
 from swarmlab.errors import ConfigError, NumericAbort, ParseError, SwarmError, ValidationError
 from swarmlab.sphere_dynamics import MAX_TURN
 from swarmlab.transport import w1_exact
+
+from conftest import snapshot_text
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 MINIMAL_EPS = {
@@ -146,7 +146,7 @@ class TestParseConfig:
         source = build_initial_ensemble({"n": 64, "distribution": "on_sphere"},
                                         ModelParams(1.0, 1.0, 0.05))
         snap = tmp_path / "snap.json"
-        snap.write_text(ensemble_to_json(source))
+        snap.write_text(snapshot_text(source))
         doc = {**MINIMAL_EPS, "mode": mode,
                "init": {**MINIMAL_EPS["init"], "n": 8, "input": str(snap)}}
         if mode == "sweep":
@@ -519,15 +519,15 @@ PROJECT_BOTH = {
 class TestSnapshotFormatting:
     @pytest.fixture
     def formatted(self, monkeypatch):
-        """The ensembles format_particles is called on, from cli or core."""
+        """The ensembles of the repr() passes that core makes."""
         calls = []
+        cells = swarmlab.core._cells
 
-        def counted(ens, **extra):
+        def counted(ens, chart):
             calls.append(ens)
-            return format_particles(ens, **extra)
+            return cells(ens, chart)
 
-        monkeypatch.setattr("swarmlab.cli.format_particles", counted)
-        monkeypatch.setattr("swarmlab.core.format_particles", counted)
+        monkeypatch.setattr("swarmlab.core._cells", counted)
         return calls
 
     @pytest.mark.parametrize("doc, stems", [
@@ -548,11 +548,42 @@ class TestSnapshotFormatting:
         def no_chart(*args):
             raise AssertionError("a JSON-only run computed chart angles")
 
-        monkeypatch.setattr("swarmlab.cli.spherical_coords_3d", no_chart)
+        monkeypatch.setattr("swarmlab.core.spherical_coords_3d", no_chart)
         doc = {**LIMIT_3D_BOTH, "output": {"formats": ["json"]}}
         run(parse_config(json.dumps(doc)), output_dir=str(tmp_path))
         assert len(list(tmp_path.glob("snap_limit_*.json"))) == len(formatted) == 4
         assert not list(tmp_path.glob("snap_limit_*.csv"))
+
+    @pytest.mark.parametrize("doc", [LIMIT_3D_BOTH, PROJECT_BOTH],
+                             ids=["simulate-limit", "project"])
+    def test_format_order_and_repeats_write_the_same_files(self, doc, tmp_path):
+        """Every order and repeat of the same formats writes the same files and
+        bytes, listed in the same order: the CSVs of each snapshot_files call
+        before its JSONs."""
+        written = []
+        for formats in (["csv", "json"], ["json", "csv"], ["csv", "json", "csv"]):
+            out = tmp_path / "-".join(formats)
+            manifest = run(parse_config(json.dumps({**doc, "output": {"formats": formats}})),
+                           output_dir=str(out))
+            names = [Path(f).name for f in manifest.files]
+            written.append((names, [(out / name).read_bytes() for name in names]))
+        first, *rest = written
+        assert all(files == first for files in rest)
+        assert first[0] == (
+            ["source.csv", "projected.csv", "source.json", "projected.json"] if doc is PROJECT_BOTH
+            else [f"snap_limit_{k:05d}.{fmt}" for k in range(4) for fmt in ("csv", "json")]
+            + ["moments.csv"])
+
+    @pytest.mark.parametrize("doc", [LIMIT_3D_BOTH, PROJECT_BOTH],
+                             ids=["simulate-limit", "project"])
+    def test_no_formats_write_no_snapshot(self, doc, tmp_path, formatted):
+        manifest = run(parse_config(json.dumps({**doc, "output": {"formats": []}})),
+                       output_dir=str(tmp_path))
+        assert [Path(f).name for f in manifest.files] == (
+            ["moments.csv"] if doc is LIMIT_3D_BOTH else [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["manifest.json", *(Path(f).name for f in manifest.files)])
+        assert formatted == []
 
 
 SWEEP_16 = {
@@ -647,7 +678,7 @@ class TestFailFast:
         bad = tmp_path / name
         bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         good = tmp_path / "good.json"
-        good.write_text(ensemble_to_json(build_initial_ensemble(
+        good.write_text(snapshot_text(build_initial_ensemble(
             {"n": 4, "distribution": "on_sphere"}, ModelParams(1.0, 1.0, 0.05))))
         out = tmp_path / "out"
         assert main(["compare", str(bad), str(good), "--output", str(out)]) == 2
@@ -665,6 +696,33 @@ class TestFailFast:
         assert main(["compare", str(a), str(b), "--output", str(out)]) == 2
         assert not out.exists()
         assert "config error: phase dimensions differ: 2 vs 3" in capsys.readouterr().err
+
+    def _snapshot_pair(self, tmp_path):
+        """Two snapshot files, and the path of a config file beside them."""
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for seed, path in enumerate(paths):
+            path.write_text(snapshot_text(build_initial_ensemble(
+                {"n": 4, "distribution": "on_sphere", "seed": seed}, ModelParams(1.0, 1.0, 0.05))))
+        return [*map(str, paths)], tmp_path / "cfg.json"
+
+    def test_compare_of_two_files_and_a_config_is_config_error(self, tmp_path, capsys):
+        # the config would be ignored, whatever its mode
+        files, cfg = self._snapshot_pair(tmp_path)
+        cfg.write_text(json.dumps(MINIMAL_EPS))
+        out = tmp_path / "out"
+        assert main(["compare", *files, "--config", str(cfg), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "compare takes two snapshot files or --config, not both" in capsys.readouterr().err
+
+    def test_compare_of_one_file_and_a_config_is_config_error(self, tmp_path, capsys):
+        # the file would be ignored for the config's two
+        files, cfg = self._snapshot_pair(tmp_path)
+        cfg.write_text(json.dumps({"mode": "compare",
+                                   "compare": {"file_a": files[0], "file_b": files[1]}}))
+        out = tmp_path / "out"
+        assert main(["compare", files[0], "--config", str(cfg), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "compare takes two snapshot files or --config, not both" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [2**64, 36893488147419103232])
     def test_seed_flag_past_uint64_is_config_error(self, flag, tmp_path):
@@ -1057,7 +1115,7 @@ class TestExitCodes:
         b = PhaseEnsemble(a.x[:3], a.v[:3], [0.5, 0.25, 0.25])  # unequal weights: the LP
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path, ens in zip(paths, (a, b)):
-            path.write_text(ensemble_to_json(ens))
+            path.write_text(snapshot_text(ens))
         out = tmp_path / "out"
         assert main(["compare", *map(str, paths), "--output", str(out)]) == 3
         assert not out.exists()

@@ -18,12 +18,11 @@ from swarmlab.core import (
     csv_text,
     ensemble_from_csv,
     ensemble_from_json,
-    ensemble_to_csv,
-    ensemble_to_json,
+    spherical_coords_3d,
 )
 from swarmlab.errors import ValidationError, ZeroVelocityParticle
 
-from conftest import make_phase, make_sphere
+from conftest import make_phase, make_sphere, snapshot_text
 from oracles import BadBand, support_in_band
 
 
@@ -163,7 +162,7 @@ class TestSupportBand:
 
 def _json_reference(ens):
     """The snapshot document as the json encoder writes it: the bytes
-    ensemble_to_json must reproduce."""
+    snapshot_files must reproduce."""
     doc = {
         "header": {"dim": ens.dim, "time": ens.time, "r": ens.r},
         "particles": [
@@ -218,33 +217,33 @@ class TestSerialization:
            r=_radii)
     def test_json_is_the_encoder_bytes(self, data, d, n, time, r):
         ens = _drawn_ensemble(data, d, n, time, r)
-        assert ensemble_to_json(ens) == _json_reference(ens)
+        assert snapshot_text(ens) == _json_reference(ens)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 40), r=_radii,
-           extra=st.sampled_from([(), ("theta", "phi")]))
-    def test_csv_is_repr_of_each_cell(self, data, d, n, r, extra):
+    @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 40), r=_radii)
+    def test_csv_is_repr_of_each_cell(self, data, d, n, r):
         ens = _drawn_ensemble(data, d, n, 0.0, r)
-        columns = {name: data.draw(st.lists(_coords, min_size=n, max_size=n))
-                   for name in extra}
+        # a d = 3 sphere snapshot's rows end in its chart angles
+        chart = ("theta", "phi") if d == 3 and r is not None else ()
+        angles = zip(*spherical_coords_3d(ens.v, r)) if chart else [()] * n
         header = ["id", *(f"x{k + 1}" for k in range(d)), *(f"v{k + 1}" for k in range(d)),
-                  "w", *extra]
-        rows = [[i, *xi, *vi, wi, *ex] for i, (xi, vi, wi, *ex) in enumerate(
-            zip(ens.x.tolist(), ens.v.tolist(), ens.w.tolist(), *columns.values()))]
-        assert ensemble_to_csv(ens, **columns) == "".join(
+                  "w", *chart]
+        rows = [[i, *xi, *vi, wi, *map(float, ang)] for i, (xi, vi, wi, ang) in enumerate(
+            zip(ens.x.tolist(), ens.v.tolist(), ens.w.tolist(), angles))]
+        assert snapshot_text(ens, "csv") == "".join(
             ",".join(row) + "\n" for row in [header, *(map(repr, row) for row in rows)])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_csv_round_trip(self, d):
         ens = make_phase(17, d=d, seed=5)
-        back = ensemble_from_csv(ensemble_to_csv(ens))
+        back = ensemble_from_csv(snapshot_text(ens, "csv"))
         assert_allclose(back.x, ens.x, rtol=0, atol=0)
         assert_allclose(back.v, ens.v, rtol=0, atol=0)
         assert_allclose(back.w, ens.w, rtol=0, atol=0)
 
     def test_json_round_trip_sphere(self):
         ens = make_sphere(9, d=3, r=1.4, seed=6)
-        back = ensemble_from_json(ensemble_to_json(ens))
+        back = ensemble_from_json(snapshot_text(ens))
         assert back.r == ens.r
         assert back.r == 1.4
         assert_allclose(back.v, ens.v, rtol=0, atol=0)
@@ -256,15 +255,17 @@ class TestSerialization:
     def test_csv_literal(self):
         ens = PhaseEnsemble(x=[[0.1, -2.0], [3.0, 1e-20]], v=[[0.6, 0.8], [-1.0, 0.0]],
                             w=[0.25, 0.75], r=1.0)
-        assert ensemble_to_csv(ens) == (
+        assert snapshot_text(ens, "csv") == (
             "id,x1,x2,v1,v2,w\n"
             "0,0.1,-2.0,0.6,0.8,0.25\n"
             "1,3.0,1e-20,-1.0,0.0,0.75\n"
         )
-        assert ensemble_to_csv(ens, phi=np.array([0.5, 1 / 3])) == (
-            "id,x1,x2,v1,v2,w,phi\n"
-            "0,0.1,-2.0,0.6,0.8,0.25,0.5\n"
-            "1,3.0,1e-20,-1.0,0.0,0.75,0.3333333333333333\n"
+        sphere = PhaseEnsemble(x=[[0.1, -2.0, 0.0], [3.0, 1e-20, 0.5]],
+                               v=[[0.0, 2.0, 0.0], [0.0, 0.0, -2.0]], w=[0.25, 0.75], r=2.0)
+        assert snapshot_text(sphere, "csv") == (
+            "id,x1,x2,x3,v1,v2,v3,w,theta,phi\n"
+            "0,0.1,-2.0,0.0,0.0,2.0,0.0,0.25,0.0,1.5707963267948966\n"
+            "1,3.0,1e-20,0.5,0.0,0.0,-2.0,0.75,-1.5707963267948966,0.0\n"
         )
 
     def test_json_literal(self):
@@ -303,15 +304,14 @@ class TestSerialization:
   }
  ]
 }"""
-        assert ensemble_to_json(ens) == expected
+        assert snapshot_text(ens) == expected
 
     def test_csv_extra_columns_tolerated(self):
+        # the chart columns of a sphere snapshot are read past, not parsed
         ens = make_sphere(4, d=3, r=1.0, seed=8)
-        text = ensemble_to_csv(ens)
-        lines = text.splitlines()
-        lines[0] += ",theta,phi"
-        lines[1:] = [ln + ",0.0,0.0" for ln in lines[1:]]
-        back = ensemble_from_csv("\n".join(lines), r=1.0)
+        text = snapshot_text(ens, "csv")
+        assert text.splitlines()[0].endswith(",w,theta,phi")
+        back = ensemble_from_csv(text, r=1.0)
         assert_allclose(back.v, ens.v, rtol=0, atol=0)
 
 
